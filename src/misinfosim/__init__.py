@@ -7,7 +7,7 @@ recommenders, score the resulting lists with exposure metrics, and drive a
 closed feedback simulation or a full configuration sweep.
 """
 
-from .als import ALSConfig, FactorModel, fit_als, objective, predict, solve_row
+from .als import ALSConfig, FactorModel, fit_als, objective, solve_row
 from .dataset import (
     Dataset,
     DatasetStats,
@@ -36,7 +36,6 @@ from .experiment import (
     config_from_row,
     emit_aggregate,
     emit_report,
-    full_grid,
     knn_grid,
     mf_grid,
     run_grid,
@@ -66,7 +65,7 @@ from .recommenders import (
     fit_recommender,
 )
 from .seeds import derive_seed, substream
-from .similarity import Neighborhood, SimilarityKind, neighborhood_matrix, similarity, top_k_neighbors
+from .similarity import SimilarityKind, neighborhood_matrix, similarity
 from .simulate import CycleReport, SimConfig, run_cycle, run_simulation
 from .synth import SynthConfig, generate_synthetic, provenance_text
 
@@ -86,7 +85,6 @@ __all__ = [
     "ItemLabel",
     "MetricReport",
     "MisinfoSimError",
-    "Neighborhood",
     "NumericalError",
     "ParseError",
     "ProfileCounts",
@@ -112,7 +110,6 @@ __all__ = [
     "emit_report",
     "fit_als",
     "fit_recommender",
-    "full_grid",
     "generate_profile",
     "generate_synthetic",
     "knn_grid",
@@ -123,7 +120,6 @@ __all__ = [
     "misinformation_ratio_difference",
     "neighborhood_matrix",
     "objective",
-    "predict",
     "profile_of",
     "provenance_text",
     "resolve_profile_counts",
@@ -135,7 +131,6 @@ __all__ = [
     "solve_row",
     "stats_csv",
     "substream",
-    "top_k_neighbors",
     "typical_grid",
     "validate_dataset",
 ]

@@ -168,10 +168,3 @@ def fit_als(ds: Dataset, cfg: ALSConfig) -> FactorModel:
 
     return FactorModel(user_factors=X, item_factors=Y, objective_trace=trace)
 
-
-def predict(model: FactorModel, u: int, i: int) -> float:
-    if not 0 <= u < model.user_factors.shape[0]:
-        raise ValueError(f"user index {u} out of range")
-    if not 0 <= i < model.item_factors.shape[0]:
-        raise ValueError(f"item index {i} out of range")
-    return float(model.user_factors[u] @ model.item_factors[i])

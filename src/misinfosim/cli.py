@@ -34,7 +34,7 @@ from .dataset import (
     stats_csv,
     validate_dataset,
 )
-from .errors import ConfigError, MisinfoSimError
+from .errors import ConfigError, DataError, MisinfoSimError
 from .experiment import (
     REPORT_CSV_HEADER,
     render_table,
@@ -62,8 +62,11 @@ def _write(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:

@@ -67,13 +67,15 @@ def _parse_list(raw: str, convert: Callable[[str], T], what: str) -> list[T]:
         raise ConfigError(f"bad {what} value: {exc}") from exc
 
 
-def _get(section: configparser.SectionProxy, key: str, convert: Callable[[str], T], default: T) -> T:
-    if key not in section:
-        return default
+def _value(section: configparser.SectionProxy, key: str, convert: Callable[[str], T]) -> T:
     try:
         return convert(section[key])
     except ValueError as exc:
         raise ConfigError(f"bad value for {section.name}.{key}: {exc}") from exc
+
+
+def _get(section: configparser.SectionProxy, key: str, convert: Callable[[str], T], default: T) -> T:
+    return _value(section, key, convert) if key in section else default
 
 
 def synth_config(parser: configparser.ConfigParser) -> SynthConfig:
@@ -132,38 +134,31 @@ def cutoffs_config(parser: configparser.ConfigParser) -> tuple[int, ...]:
 
 
 def _mf_section(parser: configparser.ConfigParser, seed: int) -> list[RecommenderConfig]:
-    defaults = dict(factors=(20, 50, 100), regs=(0.1, 0.01), iters=(20, 100), alpha=40.0, scale=0.1)
+    args: dict = {}
     if parser.has_section("grid.mf"):
         sec = parser["grid.mf"]
-        factors = _parse_list(sec["factors"], int, "grid.mf factors") if "factors" in sec else defaults["factors"]
-        regs = _parse_list(sec["lambda"], float, "grid.mf lambda") if "lambda" in sec else defaults["regs"]
-        iters = _parse_list(sec["iters"], int, "grid.mf iters") if "iters" in sec else defaults["iters"]
-        alpha = _get(sec, "alpha", float, defaults["alpha"])
-        scale = _get(sec, "init_scale", float, defaults["scale"])
-    else:
-        factors, regs, iters = defaults["factors"], defaults["regs"], defaults["iters"]
-        alpha, scale = defaults["alpha"], defaults["scale"]
-    return mf_grid(
-        factors=factors, regularizations=regs, iterations=iters, alpha=alpha, init_scale=scale, seed=seed
-    )
+        for key, arg, convert in (
+            ("factors", "factors", int), ("lambda", "regularizations", float), ("iters", "iterations", int)
+        ):
+            if key in sec:
+                args[arg] = _parse_list(sec[key], convert, f"grid.mf {key}")
+        for key in ("alpha", "init_scale"):
+            if key in sec:
+                args[key] = _value(sec, key, float)
+    return mf_grid(seed=seed, **args)  # keys the INI leaves out keep mf_grid's defaults
 
 
 def _knn_section(parser: configparser.ConfigParser, kind: str, seed: int) -> list[RecommenderConfig]:
     section = f"grid.{kind.lower()}"
-    ks: Sequence[int] = (10, 50, 100)
-    sims: Sequence[SimilarityKind] = tuple(SimilarityKind)
-    qs: Sequence[int] = (1, 2, 3)
+    args: dict = {}
     if parser.has_section(section):
         sec = parser[section]
-        if "k" in sec:
-            ks = _parse_list(sec["k"], int, f"{section} k")
-        if "sim" in sec:
-            sims = [SimilarityKind.parse(tok) for tok in _split(sec["sim"])]
-            if not sims:
-                raise ConfigError(f"{section} sim must list at least one value")
-        if "q" in sec:
-            qs = _parse_list(sec["q"], int, f"{section} q")
-    return knn_grid(kind, neighbor_counts=ks, similarities=sims, exponents=qs, seed=seed)
+        for key, arg, convert in (
+            ("k", "neighbor_counts", int), ("sim", "similarities", SimilarityKind.parse), ("q", "exponents", int)
+        ):
+            if key in sec:
+                args[arg] = _parse_list(sec[key], convert, f"{section} {key}")
+    return knn_grid(kind, seed=seed, **args)  # keys the INI leaves out keep knn_grid's defaults
 
 
 def grid_config(

@@ -8,7 +8,6 @@ immutable after construction.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -165,15 +164,12 @@ class Dataset:
 def _iter_lines(source, name: str) -> Iterator[tuple[int, str]]:
     if isinstance(source, (str, os.PathLike)):
         try:
-            fh = open(source, "r", encoding="utf-8")
+            fh = open(source, "r", encoding="utf-8-sig")  # drops a leading byte-order mark
         except OSError as exc:
             raise DataError(f"cannot read {name} from {source}: {exc}") from exc
         with fh:
             for n, line in enumerate(fh, start=1):
                 yield n, line.rstrip("\n").rstrip("\r")
-    elif isinstance(source, io.IOBase):
-        for n, line in enumerate(source, start=1):
-            yield n, line.rstrip("\n").rstrip("\r")
     else:
         for n, line in enumerate(source, start=1):
             yield n, line.rstrip("\n").rstrip("\r")
@@ -228,13 +224,16 @@ def load_dataset(interactions_source, labels_source) -> Dataset:
 def save_dataset(ds: Dataset, interactions_path, labels_path) -> None:
     """Write the two dataset files; loading them back reproduces `ds` exactly
     (every item's label is written, so zero-interaction items survive)."""
-    with open(interactions_path, "w", encoding="utf-8") as fh:
-        for u, uid in enumerate(ds.user_ids):
-            for i in ds.profile(u):
-                fh.write(f"{uid}\t{ds.item_ids[i]}\n")
-    with open(labels_path, "w", encoding="utf-8") as fh:
-        for i, iid in enumerate(ds.item_ids):
-            fh.write(f"{iid}\t{ds.label_of(i).value}\n")
+    try:
+        with open(interactions_path, "w", encoding="utf-8") as fh:
+            for u, uid in enumerate(ds.user_ids):
+                for i in ds.profile(u):
+                    fh.write(f"{uid}\t{ds.item_ids[i]}\n")
+        with open(labels_path, "w", encoding="utf-8") as fh:
+            for i, iid in enumerate(ds.item_ids):
+                fh.write(f"{iid}\t{ds.label_of(i).value}\n")
+    except OSError as exc:
+        raise DataError(f"cannot write dataset: {exc}") from exc
 
 
 # -- statistics and validation ------------------------------------------------

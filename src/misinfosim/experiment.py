@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .als import ALSConfig
 from .dataset import Dataset
-from .errors import DataError, MisinfoSimError
+from .errors import ConfigError, DataError, MisinfoSimError
 from .metrics import aggregate_report
 from .profiles import RatioSpec, build_ratio_dataset
 from .recommenders import (
@@ -45,11 +45,11 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if not self.ratios:
-            raise DataError("no ratios configured")
+            raise ConfigError("no ratios configured")
         if not self.recommenders:
-            raise DataError("no recommenders configured")
+            raise ConfigError("no recommenders configured")
         if not self.cutoffs or any(c < 1 for c in self.cutoffs):
-            raise DataError("cutoffs must be positive")
+            raise ConfigError("cutoffs must be positive")
         for rc in self.recommenders:
             rc.validate()
 
@@ -105,16 +105,6 @@ def knn_grid(
         for sim in similarities
         for q in exponents
     ]
-
-
-def full_grid(seed: int = 0, alpha: float = 40.0, init_scale: float = 0.1) -> list[RecommenderConfig]:
-    """The complete sweep: 12 MF + 27 UB + 27 IB + Rnd + Pop = 68 configs."""
-    grid = mf_grid(alpha=alpha, init_scale=init_scale, seed=seed)
-    grid += knn_grid("UB", seed=seed)
-    grid += knn_grid("IB", seed=seed)
-    grid.append(RecommenderConfig(kind="Rnd", seed=seed))
-    grid.append(RecommenderConfig(kind="Pop", seed=seed))
-    return grid
 
 
 def typical_grid(seed: int = 0, alpha: float = 40.0, init_scale: float = 0.1) -> list[RecommenderConfig]:
@@ -192,7 +182,7 @@ def run_grid(ds: Dataset, cfg: ExperimentConfig, workers: int = 1) -> list[Resul
     """
     cfg.validate()
     if workers < 1:
-        raise DataError("workers must be at least 1")
+        raise ConfigError("workers must be at least 1")
 
     indexed_rows: list[tuple[int, ResultRow]] = []
     cells: list[tuple[int, tuple]] = []

@@ -9,10 +9,12 @@ score with ties broken by ascending item index, and return the top `cutoff`.
 - IB:  s(u,i) = sum over the k nearest items j of w(i,j)^q * R[u,j].
 - MF:  dot products of implicit-feedback ALS factors.
 
-The neighborhood models drop candidates whose score is exactly zero (no
-positive-similarity neighbor reaches them); Rnd, Pop and MF rank every
-unseen item. Score accumulation always walks neighbors in ascending index
-order so results do not depend on sparse storage order.
+Each family scores a block of users at once (`_score_block`); one ranking
+step (`Recommender._rank`) turns every block into lists. The neighborhood
+models drop candidates whose score is not positive (no positive-similarity
+neighbor reaches them); Rnd, Pop and MF rank every unseen item. Score
+accumulation always walks neighbors in ascending index order so results do
+not depend on sparse storage order.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from .als import ALSConfig, FactorModel, fit_als
 from .dataset import Dataset
@@ -30,6 +31,7 @@ from .seeds import substream
 from .similarity import SimilarityKind, neighborhood_matrix
 
 RECOMMENDER_KINDS = ("Rnd", "Pop", "UB", "IB", "MF")
+CELLS = 1 << 16  # score cells per block in recommend_all
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,7 @@ class RecommendationList:
 
 class Recommender:
     kind: str = "?"
+    rank_zeros: bool = False  # whether unseen items scoring <= 0 are ranked
 
     def __init__(self, cfg: RecommenderConfig):
         cfg.validate()
@@ -137,8 +140,8 @@ class Recommender:
     def _fit(self, ds: Dataset) -> None:  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def _scores(self, user: int) -> tuple[np.ndarray, bool]:
-        """Dense per-item scores and whether zero scores are rankable."""
+    def _score_block(self, users: slice) -> np.ndarray:  # pragma: no cover - overridden
+        """Dense float64 scores, one row of n_items per user in the slice."""
         raise NotImplementedError
 
     def recommend(self, user: int, cutoff: int) -> RecommendationList:
@@ -147,18 +150,36 @@ class Recommender:
             raise ValueError(f"user index {user} out of range")
         if cutoff < 1:
             raise ValueError("cutoff must be at least 1")
-        scores, rank_zeros = self._scores(user)
-        unseen = np.ones(ds.n_items, dtype=bool)
-        unseen[ds.profile(user)] = False
-        cand = np.flatnonzero(unseen if rank_zeros else (unseen & (scores > 0)))
-        order = np.lexsort((cand, -scores[cand]))[:cutoff]
-        chosen = cand[order]
-        return RecommendationList(
-            user=user, items=chosen, scores=scores[chosen].astype(np.float64), cutoff=cutoff
-        )
+        return self._rank(slice(user, user + 1), cutoff)[0]
 
     def recommend_all(self, cutoff: int) -> list[RecommendationList]:
-        return [self.recommend(u, cutoff) for u in range(self._fitted().n_users)]
+        ds = self._fitted()
+        if cutoff < 1:
+            raise ValueError("cutoff must be at least 1")
+        step = max(1, CELLS // ds.n_items)
+        lists: list[RecommendationList] = []
+        for start in range(0, ds.n_users, step):
+            lists += self._rank(slice(start, min(start + step, ds.n_users)), cutoff)
+        return lists
+
+    def _rank(self, users: slice, cutoff: int) -> list[RecommendationList]:
+        """Unseen items by descending score, ties by ascending item index."""
+        ds = self._fitted()
+        scores = self._score_block(users)
+        keys = -scores
+        seen = ds.matrix[users]
+        keys[np.repeat(np.arange(seen.shape[0]), np.diff(seen.indptr)), seen.indices] = np.inf
+        if not self.rank_zeros:
+            keys[scores <= 0] = np.inf
+        # a stable sort of -score keeps equal scores in ascending item order;
+        # the copy lets the lists' item views free the full argsort
+        order = np.argsort(keys, axis=1, kind="stable")[:, :cutoff].copy()
+        lengths = np.isfinite(np.take_along_axis(keys, order, axis=1)).sum(axis=1)
+        lists = []
+        for row, n in enumerate(lengths):
+            top = order[row, :n]
+            lists.append(RecommendationList(users.start + row, top, scores[row, top], cutoff))
+        return lists
 
     def _fitted(self) -> Dataset:
         if self.ds is None:
@@ -179,29 +200,31 @@ class RandomRecommender(Recommender):
     def _fit(self, ds: Dataset) -> None:
         pass
 
-    def _scores(self, user: int) -> tuple[np.ndarray, bool]:
+    def _score_block(self, users: slice) -> np.ndarray:
         ds = self._fitted()
-        unseen = np.ones(ds.n_items, dtype=bool)
-        unseen[ds.profile(user)] = False
-        cand = np.flatnonzero(unseen)
-        scores = np.zeros(ds.n_items)
-        if cand.size:
-            rng = substream(self.cfg.seed, user)
-            shuffled = cand[rng.permutation(cand.size)]
-            scores[shuffled] = (cand.size - np.arange(cand.size)) / cand.size
-        return scores, False  # zeros are exactly the seen items
+        scores = np.zeros((users.stop - users.start, ds.n_items))  # zeros are exactly the seen items
+        for row, user in enumerate(range(users.start, users.stop)):
+            unseen = np.ones(ds.n_items, dtype=bool)
+            unseen[ds.profile(user)] = False
+            cand = np.flatnonzero(unseen)
+            if cand.size:
+                rng = substream(self.cfg.seed, user)
+                shuffled = cand[rng.permutation(cand.size)]
+                scores[row, shuffled] = (cand.size - np.arange(cand.size)) / cand.size
+        return scores
 
 
 class PopularityRecommender(Recommender):
     """Ranks unseen items by their global interaction count."""
 
     kind = "Pop"
+    rank_zeros = True
 
     def _fit(self, ds: Dataset) -> None:
         self._counts = ds.item_interaction_counts().astype(np.float64)
 
-    def _scores(self, user: int) -> tuple[np.ndarray, bool]:
-        return self._counts, True
+    def _score_block(self, users: slice) -> np.ndarray:
+        return np.repeat(self._counts[np.newaxis, :], users.stop - users.start, axis=0)
 
 
 class UserBasedRecommender(Recommender):
@@ -214,28 +237,9 @@ class UserBasedRecommender(Recommender):
         weights.data = _integer_power(weights.data, self.cfg.exponent)
         self._weights = weights  # csr: row u -> neighbors v, ascending v
 
-    def _scores(self, user: int) -> tuple[np.ndarray, bool]:
-        ds = self._fitted()
-        w = self._weights
-        scores = np.zeros(ds.n_items)
-        lo, hi = w.indptr[user], w.indptr[user + 1]
-        for v, wt in zip(w.indices[lo:hi], w.data[lo:hi]):
-            scores[ds.profile(int(v))] += wt
-        return scores, False
-
-    def score(self, user: int, item: int) -> float:
-        ds = self._fitted()
-        if not 0 <= item < ds.n_items:
-            raise ValueError(f"item index {item} out of range")
-        w = self._weights
-        lo, hi = w.indptr[user], w.indptr[user + 1]
-        total = 0.0
-        for v, wt in zip(w.indices[lo:hi], w.data[lo:hi]):
-            prof = ds.profile(int(v))
-            pos = np.searchsorted(prof, item)
-            if pos < prof.size and prof[pos] == item:
-                total += wt
-        return total
+    def _score_block(self, users: slice) -> np.ndarray:
+        # csr @ csr sums a cell in the left row's index order; sorted rows give ascending v
+        return (self._weights[users] @ self._fitted().matrix).toarray()
 
 
 class ItemBasedRecommender(Recommender):
@@ -246,37 +250,18 @@ class ItemBasedRecommender(Recommender):
     def _fit(self, ds: Dataset) -> None:
         weights = neighborhood_matrix(ds, "items", self.cfg.neighbors, self.cfg.similarity)
         weights.data = _integer_power(weights.data, self.cfg.exponent)
-        self._by_anchor = weights  # csr: row i -> neighbor items j
-        self._by_member = weights.tocsc()  # column j -> anchors i scored via j
+        self._by_member = weights.T.tocsr()  # row j -> anchors i scored via j
 
-    def _scores(self, user: int) -> tuple[np.ndarray, bool]:
-        ds = self._fitted()
-        col = self._by_member
-        scores = np.zeros(ds.n_items)
-        for j in ds.profile(user):  # ascending j keeps accumulation canonical
-            lo, hi = col.indptr[j], col.indptr[j + 1]
-            scores[col.indices[lo:hi]] += col.data[lo:hi]
-        return scores, False
-
-    def score(self, user: int, item: int) -> float:
-        ds = self._fitted()
-        if not 0 <= item < ds.n_items:
-            raise ValueError(f"item index {item} out of range")
-        prof = ds.profile(user)
-        w = self._by_anchor
-        lo, hi = w.indptr[item], w.indptr[item + 1]
-        total = 0.0
-        for j, wt in zip(w.indices[lo:hi], w.data[lo:hi]):
-            pos = np.searchsorted(prof, j)
-            if pos < prof.size and prof[pos] == j:
-                total += wt
-        return total
+    def _score_block(self, users: slice) -> np.ndarray:
+        # csr @ csr sums a cell in the left row's index order; sorted rows give ascending j
+        return (self._fitted().matrix[users] @ self._by_member).toarray()
 
 
 class FactorRecommender(Recommender):
     """Scores by dot products of ALS user and item factors."""
 
     kind = "MF"
+    rank_zeros = True
 
     model: FactorModel
 
@@ -284,17 +269,8 @@ class FactorRecommender(Recommender):
         assert self.cfg.als is not None
         self.model = fit_als(ds, self.cfg.als)
 
-    def _scores(self, user: int) -> tuple[np.ndarray, bool]:
-        scores = self.model.user_factors[user] @ self.model.item_factors.T
-        return scores, True
-
-    def score(self, user: int, item: int) -> float:
-        ds = self._fitted()
-        if not 0 <= user < ds.n_users:
-            raise ValueError(f"user index {user} out of range")
-        if not 0 <= item < ds.n_items:
-            raise ValueError(f"item index {item} out of range")
-        return float(self.model.user_factors[user] @ self.model.item_factors[item])
+    def _score_block(self, users: slice) -> np.ndarray:
+        return self.model.user_factors[users] @ self.model.item_factors.T
 
 
 _CLASSES = {

@@ -11,7 +11,6 @@ sparse co-occurrence structure covers every candidate neighbor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -61,15 +60,6 @@ def similarity(a, b, kind: SimilarityKind, universe_size: int) -> float:
     return (n * c - na * nb) / math.sqrt(den_sq)
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    """Top-k neighbors of one anchor, strongest first, ties by lower index."""
-
-    anchor: int
-    indices: np.ndarray
-    weights: np.ndarray
-
-
 def _axis_view(ds: Dataset, axis: str) -> tuple[sparse.csr_matrix, int]:
     if axis == "users":
         return ds.matrix.astype(np.int64), ds.n_items
@@ -113,30 +103,13 @@ def _rank_row(
     return cols[order], weights[order]
 
 
-def top_k_neighbors(ds: Dataset, axis: str, anchor: int, k: int, kind: SimilarityKind) -> Neighborhood:
-    """Strict top-k positive-similarity neighbors of `anchor` along `axis`.
-
-    The anchor itself and non-positive similarities are excluded; equal
-    weights rank by ascending index. Fewer than k may remain.
-    """
-    mat, universe = _axis_view(ds, axis)
-    if not 0 <= anchor < mat.shape[0]:
-        raise ValueError(f"anchor {anchor} out of range for axis {axis!r}")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    sizes = np.diff(mat.indptr)
-    inter = (mat @ mat[anchor].T).tocoo()
-    cols, counts = inter.row, inter.data
-    weights = _weights_from_counts(counts, int(sizes[anchor]), sizes[cols], universe, kind)
-    top_idx, top_w = _rank_row(anchor, cols, weights, k)
-    return Neighborhood(anchor=anchor, indices=top_idx, weights=top_w)
-
-
 def neighborhood_matrix(ds: Dataset, axis: str, k: int, kind: SimilarityKind) -> sparse.csr_matrix:
     """All top-k neighborhoods along `axis` as a sparse weight matrix.
 
-    Row a holds the weights of a's neighbors; each row of the result carries
-    at most k nonzeros and matches `top_k_neighbors(ds, axis, a, k, kind)`.
+    Row a holds the weights of a's strict top-k positive-similarity
+    neighbors: a itself and non-positive similarities are excluded, equal
+    weights rank by ascending index, and fewer than k may remain. Column
+    indices are sorted within each row.
     """
     mat, universe = _axis_view(ds, axis)
     if k < 1:

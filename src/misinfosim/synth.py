@@ -27,7 +27,7 @@ _USER_STREAM = 1
 class SynthConfig:
     user_count: int
     item_count: int
-    mean_profile_size: int
+    mean_profile_size: float
     misinfo_item_fraction: float
     popularity_exponent: float = 1.0
     misinfo_popularity_boost: float = 1.0

@@ -148,11 +148,13 @@ def test_criterion_3_neighborhood_recommenders_vs_brute_force(capsys):
                     )
                     fit_s += time.perf_counter() - t0
                     want = brute(ds, k, kind, q, ds.n_items)
-                    for u in range(ds.n_users):
-                        t0 = time.perf_counter()
-                        got = rec.recommend(u, ds.n_items)
-                        recommend_s += time.perf_counter() - t0
+                    t0 = time.perf_counter()
+                    lists = rec.recommend_all(ds.n_items)
+                    recommend_s += time.perf_counter() - t0
+                    assert len(lists) == ds.n_users
+                    for u, got in enumerate(lists):
                         want_items, want_scores = want[u]
+                        assert got.user == u
                         assert list(got.items) == want_items, (cfg_kind, k, kind, q, u)
                         np.testing.assert_allclose(got.scores, want_scores, atol=1e-10, rtol=0)
                         compared += 1

@@ -9,7 +9,6 @@ from misinfosim import (
     NumericalError,
     fit_als,
     objective,
-    predict,
     solve_row,
 )
 
@@ -133,16 +132,6 @@ def test_rank3_block_recovery():
     model = fit_als(ds, cfg)
     recon = model.user_factors @ model.item_factors.T
     assert np.abs(recon - ds.matrix.toarray()).max() < 1e-3
-
-
-def test_predict_matches_factors(tiny_ds):
-    cfg = ALSConfig(factors=3, iterations=2, seed=1)
-    model = fit_als(tiny_ds, cfg)
-    assert predict(model, 1, 2) == pytest.approx(float(model.user_factors[1] @ model.item_factors[2]))
-    with pytest.raises(ValueError):
-        predict(model, 99, 0)
-    with pytest.raises(ValueError):
-        predict(model, 0, 99)
 
 
 def test_fit_rejects_empty_dataset():

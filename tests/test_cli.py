@@ -210,6 +210,41 @@ def test_config_errors_exit_one(synth_files, tmp_path, capsys):
     assert "[sim]" in capsys.readouterr().err
 
 
+def _cli(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "misinfosim.cli", *args], capture_output=True, text=True
+    )
+
+
+def test_unwritable_outputs_exit_two(synth_files, tmp_path):
+    inter, labels = synth_files
+    missing = tmp_path / "no" / "such" / "dir"
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(
+        f"[dataset]\ninteractions = {inter}\nlabels = {labels}\n\n[ratios]\nratios = none\n"
+    )
+    run = _cli("run", "--config", str(cfg), "--out", str(missing / "x.csv"))
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert "error: cannot write" in run.stderr
+
+    synth_ini = tmp_path / "synth.ini"
+    synth_ini.write_text(SYNTH_INI)
+    synth = _cli("synth", "--config", str(synth_ini), "--interactions", str(missing / "i.tsv"),
+                 "--labels", str(tmp_path / "l.tsv"))
+    assert synth.returncode == 2
+    assert "Traceback" not in synth.stderr
+    assert "error: cannot write" in synth.stderr
+
+
+def test_workers_below_one_exits_one(synth_files, tmp_path, capsys):
+    inter, labels = synth_files
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[dataset]\ninteractions = {inter}\nlabels = {labels}\n")
+    assert main(["run", "--config", str(cfg), "--workers", "0", "--out", str(tmp_path / "r.csv")]) == 1
+    assert "workers must be at least 1" in capsys.readouterr().err
+
+
 def test_exit_code_attributes():
     assert MisinfoSimError("x").exit_code == 1
     assert ConfigError("x").exit_code == 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misinfosim import (
+    DataError,
     Dataset,
     EmptyDatasetError,
     ItemLabel,
@@ -76,6 +77,21 @@ def test_empty_interactions_raise():
 def test_load_accepts_file_objects():
     ds = load_dataset(io.StringIO("u1\ti1\n"), io.StringIO("i1\tmisinfo\n"))
     assert ds.n_users == 1 and ds.n_items == 1
+
+
+def test_load_drops_a_leading_byte_order_mark(tmp_path):
+    ipath, lpath = tmp_path / "int.tsv", tmp_path / "lab.tsv"
+    ipath.write_bytes("\ufeffu1\ti1\nu2\ti2\n".encode("utf-8"))
+    lpath.write_bytes("\ufeffi1\tmisinfo\n".encode("utf-8"))
+    ds = load_dataset(ipath, lpath)
+    assert ds.user_ids == ("u1", "u2")
+    assert ds.item_ids == ("i1", "i2")
+    assert ds.item_misinfo.tolist() == [True, False]
+
+
+def test_save_to_missing_directory_is_a_data_error(tmp_path, tiny_ds):
+    with pytest.raises(DataError, match="cannot write"):
+        save_dataset(tiny_ds, tmp_path / "no" / "int.tsv", tmp_path / "lab.tsv")
 
 
 def test_round_trip_identity(tmp_path, tiny_ds):

@@ -1,11 +1,12 @@
 import pickle
 from collections import Counter
+from configparser import ConfigParser
 
 import pytest
 
 from misinfosim import (
     ALSConfig,
-    DataError,
+    ConfigError,
     ExperimentConfig,
     RatioSpec,
     RecommenderConfig,
@@ -18,10 +19,10 @@ from misinfosim import (
     emit_aggregate,
     emit_report,
     fit_recommender,
-    full_grid,
     run_grid,
     typical_grid,
 )
+from misinfosim.config import grid_config
 from misinfosim.experiment import AGGREGATE_CSV_HEADER, REPORT_CSV_HEADER
 
 from conftest import make_dataset
@@ -53,7 +54,7 @@ POP = RecommenderConfig(kind="Pop")
 
 
 def test_full_grid_composition():
-    grid = full_grid(seed=4)
+    grid = grid_config(ConfigParser(), 4)  # the grid `sweep` runs without [grid.*] sections
     assert len(grid) == 68
     counts = Counter(cfg.kind for cfg in grid)
     assert counts == {"MF": 12, "UB": 27, "IB": 27, "Rnd": 1, "Pop": 1}
@@ -80,7 +81,7 @@ def test_typical_grid_is_one_per_family():
 
 
 def test_config_from_row_round_trips_every_grid_cell():
-    for cfg in full_grid(seed=4):
+    for cfg in grid_config(ConfigParser(), 4):
         rebuilt = config_from_row(cfg.kind, cfg.params_label())
         assert rebuilt.kind == cfg.kind
         assert rebuilt.params_label() == cfg.params_label()
@@ -151,16 +152,16 @@ def test_run_grid_unattainable_ratio_becomes_error_row(grid_ds):
 
 
 def test_run_grid_validates_inputs(grid_ds):
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         run_grid(grid_ds, ExperimentConfig(ratios=(), recommenders=(POP,)))
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         run_grid(grid_ds, ExperimentConfig(ratios=(RatioSpec.parse("none"),), recommenders=()))
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         run_grid(
             grid_ds,
             ExperimentConfig(ratios=(RatioSpec.parse("none"),), recommenders=(POP,), cutoffs=(0,)),
         )
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         run_grid(grid_ds, ExperimentConfig(ratios=(RatioSpec.parse("none"),), recommenders=(POP,)), workers=0)
 
 

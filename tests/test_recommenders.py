@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from misinfosim import (
     build_recommender,
     fit_recommender,
 )
+from misinfosim import recommenders
 from misinfosim.experiment import config_from_row
 
 from conftest import make_dataset, random_dataset
@@ -96,6 +99,33 @@ def test_never_recommends_seen_items_and_prefixes_agree(cfg):
         assert pairs == sorted(pairs, key=lambda sv: (-sv[0], sv[1]))
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        RecommenderConfig(kind="Rnd", seed=3),
+        RecommenderConfig(kind="Pop"),
+        knn_cfg("UB", k=4, sim=SimilarityKind.COSINE, q=2),
+        knn_cfg("IB", k=4, sim=SimilarityKind.PEARSON, q=2),
+        RecommenderConfig(kind="MF", als=ALSConfig(factors=3, iterations=2, seed=1)),
+    ],
+    ids=lambda c: c.kind,
+)
+def test_recommend_all_independent_of_block_size(cfg, monkeypatch):
+    rng = np.random.default_rng(43)
+    ds = random_dataset(rng, n_users=13, n_items=20, p=0.3)
+    rec = fit_recommender(ds, cfg)
+    whole = rec.recommend_all(7)  # every user in one block
+    monkeypatch.setattr(recommenders, "CELLS", 3 * ds.n_items)
+    blocked = rec.recommend_all(7)  # blocks of 3 users, the last one short
+    assert [lst.user for lst in blocked] == list(range(ds.n_users))
+    for a, b, u in zip(whole, blocked, range(ds.n_users)):
+        one = rec.recommend(u, 7)
+        assert a.items.tolist() == b.items.tolist() == one.items.tolist()
+        np.testing.assert_allclose(a.scores, b.scores, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(a.scores, one.scores, rtol=1e-12, atol=0)
+        assert a.cutoff == b.cutoff == 7
+
+
 def test_recommend_validates_arguments(toy_ds):
     rec = fit_recommender(toy_ds, knn_cfg("UB"))
     with pytest.raises(ValueError):
@@ -162,8 +192,11 @@ def test_user_based_toy_scores(toy_ds):
     assert names == {"b": pytest.approx(1 / 3), "c": pytest.approx(1 / 3)}
     # ties broke by index: b before c
     assert [toy_ds.item_ids[i] for i in lst.items] == ["b", "c"]
-    assert rec.score(0, toy_ds.item_index("b")) == pytest.approx(1 / 3)
-    assert rec.score(0, toy_ds.item_index("x")) == 0.0
+    full = rec.recommend_all(toy_ds.n_items)[0]
+    assert full.items.tolist() == lst.items.tolist()
+    assert full.scores.tolist() == lst.scores.tolist()
+    # x is reached by no neighbor: zero score, never listed
+    assert toy_ds.item_index("x") not in full.items.tolist()
 
 
 def test_user_based_accumulates_over_neighbors():
@@ -173,7 +206,9 @@ def test_user_based_accumulates_over_neighbors():
     )
     rec = fit_recommender(ds, knn_cfg("UB", k=2, sim=SimilarityKind.JACCARD, q=1))
     # g is reachable via u1 (jac 2/3) and u2 (jac 1/3): score 1.0
-    assert rec.score(0, ds.item_index("g")) == pytest.approx(1.0)
+    lst = rec.recommend_all(ds.n_items)[0]
+    assert lst.items.tolist() == [ds.item_index("g")]
+    assert lst.scores.tolist() == [pytest.approx(1.0)]
 
 
 def test_item_based_toy_scores(toy_ds):
@@ -185,7 +220,8 @@ def test_item_based_toy_scores(toy_ds):
     assert set(got) == {"b", "c"}
     assert got["b"] == pytest.approx(1 / np.sqrt(3))
     assert got["c"] == pytest.approx(1 / np.sqrt(3))
-    assert rec.score(u0, toy_ds.item_index("b")) == pytest.approx(got["b"])
+    full = rec.recommend_all(toy_ds.n_items)[u0]
+    assert dict(zip((toy_ds.item_ids[i] for i in full.items), full.scores)) == got
 
 
 def test_knn_zero_score_users_get_empty_lists(toy_ds):
@@ -210,7 +246,7 @@ def test_k1_rankings_invariant_to_exponent():
 @pytest.mark.parametrize("kind", [SimilarityKind.JACCARD, SimilarityKind.COSINE, SimilarityKind.PEARSON])
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_user_based_matches_brute_force(kind, q):
-    rng = np.random.default_rng(abs(hash((kind.value, q))) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(f"UB/{kind.value}/{q}".encode()))
     for _ in range(6):
         ds = random_dataset(rng, n_users=10, n_items=15, p=0.3)
         rec = fit_recommender(ds, knn_cfg("UB", k=3, sim=kind, q=q))
@@ -224,7 +260,7 @@ def test_user_based_matches_brute_force(kind, q):
 @pytest.mark.parametrize("kind", [SimilarityKind.JACCARD, SimilarityKind.COSINE, SimilarityKind.PEARSON])
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_item_based_matches_brute_force(kind, q):
-    rng = np.random.default_rng(abs(hash((q, kind.value))) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(f"IB/{kind.value}/{q}".encode()))
     for _ in range(6):
         ds = random_dataset(rng, n_users=10, n_items=15, p=0.3)
         rec = fit_recommender(ds, knn_cfg("IB", k=3, sim=kind, q=q))
@@ -240,12 +276,13 @@ def test_item_based_matches_brute_force(kind, q):
 def test_mf_ranking_matches_predict_order(toy_ds):
     cfg = RecommenderConfig(kind="MF", als=ALSConfig(factors=3, iterations=4, seed=2))
     rec = fit_recommender(toy_ds, cfg)
-    for u in range(toy_ds.n_users):
-        lst = rec.recommend(u, toy_ds.n_items)
+    X, Y = rec.model.user_factors, rec.model.item_factors
+    for lst in rec.recommend_all(toy_ds.n_items):
+        u = lst.user
         # matrix product vs per-item dot product: same values up to blas
         # summation order
         assert np.allclose(
-            lst.scores, [rec.score(u, int(i)) for i in lst.items], rtol=1e-12, atol=1e-15
+            lst.scores, [float(X[u] @ Y[int(i)]) for i in lst.items], rtol=1e-12, atol=1e-15
         )
         # MF keeps zero/negative scores: every unseen item is ranked
         assert len(lst) == toy_ds.n_items - toy_ds.profile(u).size

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misinfosim import SimilarityKind, neighborhood_matrix, similarity, top_k_neighbors
+from misinfosim import SimilarityKind, neighborhood_matrix, similarity
 from misinfosim.errors import ConfigError
 
 from conftest import make_dataset, random_dataset
@@ -99,16 +99,24 @@ def test_similarity_symmetric_and_bounded(a, b, kind):
 
 # -- neighborhoods ------------------------------------------------------------
 
+def _row(mat, anchor):
+    """Neighbors of one anchor, strongest first, ties by lower index."""
+    lo, hi = mat.indptr[anchor], mat.indptr[anchor + 1]
+    cols, weights = mat.indices[lo:hi], mat.data[lo:hi]
+    order = np.lexsort((cols, -weights))
+    return cols[order], weights[order]
+
+
 def test_neighbors_exclude_self_and_nonpositive():
     ds = make_dataset(
         {"a": ["x", "y", "z"], "b": ["p", "q", "r"], "c": ["x", "y"]},
         misinfo=["x"],
     )
-    hood = top_k_neighbors(ds, "users", 0, k=5, kind=SimilarityKind.PEARSON)
-    assert 0 not in hood.indices
+    indices, weights = _row(neighborhood_matrix(ds, "users", k=5, kind=SimilarityKind.PEARSON), 0)
+    assert 0 not in indices
     # "b" is disjoint from "a": negative correlation, excluded even with room
-    assert ds.user_index("b") not in hood.indices
-    assert (hood.weights > 0).all()
+    assert ds.user_index("b") not in indices
+    assert (weights > 0).all()
 
 
 def test_neighbor_ties_break_by_ascending_index():
@@ -116,18 +124,16 @@ def test_neighbor_ties_break_by_ascending_index():
         {"u0": ["s", "a"], "u1": ["s", "b"], "u2": ["s", "c"], "u3": ["s", "d"]},
         misinfo=["s"],
     )
-    hood = top_k_neighbors(ds, "users", 0, k=2, kind=SimilarityKind.JACCARD)
-    assert hood.indices.tolist() == [1, 2]
-    assert hood.weights.tolist() == [pytest.approx(1 / 3)] * 2
+    indices, weights = _row(neighborhood_matrix(ds, "users", k=2, kind=SimilarityKind.JACCARD), 0)
+    assert indices.tolist() == [1, 2]
+    assert weights.tolist() == [pytest.approx(1 / 3)] * 2
 
 
 def test_top_k_validates_arguments(tiny_ds):
     with pytest.raises(ValueError):
-        top_k_neighbors(tiny_ds, "users", 99, 2, SimilarityKind.JACCARD)
+        neighborhood_matrix(tiny_ds, "users", 0, SimilarityKind.JACCARD)
     with pytest.raises(ValueError):
-        top_k_neighbors(tiny_ds, "users", 0, 0, SimilarityKind.JACCARD)
-    with pytest.raises(ValueError):
-        top_k_neighbors(tiny_ds, "rows", 0, 2, SimilarityKind.JACCARD)
+        neighborhood_matrix(tiny_ds, "rows", 2, SimilarityKind.JACCARD)
 
 
 @pytest.mark.parametrize("axis", ["users", "items"])
@@ -137,27 +143,12 @@ def test_top_k_matches_brute_force(axis, kind):
     for trial in range(25):
         ds = random_dataset(rng, n_users=8, n_items=12, p=0.35)
         n = ds.n_users if axis == "users" else ds.n_items
-        for anchor in range(n):
-            for k in (1, 3, 50):
-                hood = top_k_neighbors(ds, axis, anchor, k, kind)
-                want_idx, want_w = brute_top_k(ds, axis, anchor, k, kind)
-                assert hood.indices.tolist() == want_idx
-                np.testing.assert_allclose(hood.weights, want_w, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("axis", ["users", "items"])
-def test_matrix_rows_equal_per_anchor_queries(axis):
-    rng = np.random.default_rng(23)
-    for trial in range(10):
-        ds = random_dataset(rng, n_users=9, n_items=14, p=0.3)
-        for kind in KINDS:
-            mat = neighborhood_matrix(ds, axis, k=3, kind=kind)
-            n = ds.n_users if axis == "users" else ds.n_items
+        for k in (1, 3, 50):
+            mat = neighborhood_matrix(ds, axis, k, kind)
             assert mat.shape == (n, n)
+            assert mat.has_sorted_indices
             for anchor in range(n):
-                hood = top_k_neighbors(ds, axis, anchor, 3, kind)
-                row = mat.getrow(anchor).tocoo()
-                assert sorted(row.col.tolist()) == sorted(hood.indices.tolist())
-                got = dict(zip(row.col.tolist(), row.data.tolist()))
-                want = dict(zip(hood.indices.tolist(), hood.weights.tolist()))
-                assert got == want
+                indices, weights = _row(mat, anchor)
+                want_idx, want_w = brute_top_k(ds, axis, anchor, k, kind)
+                assert indices.tolist() == want_idx
+                np.testing.assert_allclose(weights, want_w, rtol=0, atol=1e-12)
