@@ -7,7 +7,8 @@ Minimizes
 over binary interactions p, with confidence c_ui = 1 + alpha * p_ui, by
 alternating exact user-side and item-side solves. Each row solve uses the
 normal equations with the Gram matrix of the fixed side cached once per
-half-sweep and a rank-|row| correction for the observed entries.
+half-sweep and a rank-|row| correction for the observed entries. Rows are
+solved in contiguous blocks, one batched LAPACK call per block.
 
 The exact objective is evaluated after every half-sweep via the algebraic
 split  sum_all (x.y)^2 + sum_obs [(1+alpha)(1 - x.y)^2 - (x.y)^2],  which
@@ -27,6 +28,7 @@ from .errors import ConfigError, EmptyDatasetError, NumericalError
 from .seeds import substream
 
 _OBJ_CHUNK = 200_000  # observed cells per objective chunk
+_SOLVE_CELLS = 1 << 16  # system cells (rows * k * k) per batched row solve
 
 
 @dataclass(frozen=True)
@@ -63,20 +65,29 @@ class FactorModel:
     objective_trace: list[float]  # exact objective after each half-sweep
 
 
-def _solve_row_given_gram(
-    gram: np.ndarray, fixed: np.ndarray, row_items: np.ndarray, cfg: ALSConfig
+def _regularized_gram(fixed: np.ndarray, cfg: ALSConfig) -> np.ndarray:
+    """F'F + reg I, the part of every row's system shared across a half-sweep."""
+    return fixed.T @ fixed + cfg.regularization * np.eye(fixed.shape[1])
+
+
+def _solve_rows(
+    base: np.ndarray, fixed: np.ndarray, rows: list[np.ndarray], cfg: ALSConfig
 ) -> np.ndarray:
-    """Exact per-row solution of (F'F + F'(C-I)F + reg I) x = F' C p."""
-    k = fixed.shape[1]
-    system = gram + cfg.regularization * np.eye(k)
-    if len(row_items):
-        observed = fixed[row_items]
-        system = system + cfg.alpha * (observed.T @ observed)
-        rhs = (1.0 + cfg.alpha) * observed.sum(axis=0)
-    else:
-        rhs = np.zeros(k)
+    """Exact solutions of (base + alpha F_r'F_r) x = (1 + alpha) F_r'1, one per row.
+
+    `rows` holds each row's observed indices into `fixed`. All systems go to
+    one batched solve, which runs the same LAPACK routine per matrix as a
+    single solve, so every row's solution is bitwise that of a per-row solve.
+    """
+    systems = np.repeat(base[np.newaxis], len(rows), axis=0)
+    rhs = np.zeros((len(rows), base.shape[0]))
+    for slot, items in enumerate(rows):
+        if len(items):
+            observed = fixed[items]
+            systems[slot] += cfg.alpha * (observed.T @ observed)
+            rhs[slot] = (1.0 + cfg.alpha) * observed.sum(axis=0)
     try:
-        return np.linalg.solve(system, rhs)
+        return np.linalg.solve(systems, rhs[..., np.newaxis])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular normal equations: {exc}") from exc
 
@@ -94,15 +105,18 @@ def solve_row(
     idx = np.asarray(interactions_of_row, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= fixed.shape[0]):
         raise ValueError("row interaction index out of range of fixed factors")
-    return _solve_row_given_gram(fixed.T @ fixed, fixed, idx, cfg)
+    return _solve_rows(_regularized_gram(fixed, cfg), fixed, [idx], cfg)[0]
 
 
 def _half_sweep(mat: sparse.csr_matrix, target: np.ndarray, fixed: np.ndarray, cfg: ALSConfig) -> None:
-    gram = fixed.T @ fixed
+    base = _regularized_gram(fixed, cfg)
     indptr, indices = mat.indptr, mat.indices
-    for row in range(mat.shape[0]):
-        items = indices[indptr[row] : indptr[row + 1]]
-        target[row] = _solve_row_given_gram(gram, fixed, items, cfg)
+    n_rows, k = mat.shape[0], fixed.shape[1]
+    block = max(1, _SOLVE_CELLS // (k * k))
+    for start in range(0, n_rows, block):
+        stop = min(start + block, n_rows)
+        rows = [indices[indptr[row] : indptr[row + 1]] for row in range(start, stop)]
+        target[start:stop] = _solve_rows(base, fixed, rows, cfg)
 
 
 def _objective_value(

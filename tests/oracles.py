@@ -132,3 +132,20 @@ def dense_solve_row(fixed, row_items, cfg):
     A = fixed.T @ conf @ fixed + cfg.regularization * np.eye(k)
     b = fixed.T @ conf @ p
     return np.linalg.solve(A, b)
+
+
+def per_row_half_sweep(mat, target, fixed, cfg):
+    """Reference ALS half-sweep: one system build and np.linalg.solve per row."""
+    gram = fixed.T @ fixed
+    indptr, indices = mat.indptr, mat.indices
+    k = fixed.shape[1]
+    for row in range(mat.shape[0]):
+        items = indices[indptr[row] : indptr[row + 1]]
+        system = gram + cfg.regularization * np.eye(k)
+        if len(items):
+            observed = fixed[items]
+            system = system + cfg.alpha * (observed.T @ observed)
+            rhs = (1.0 + cfg.alpha) * observed.sum(axis=0)
+        else:
+            rhs = np.zeros(k)
+        target[row] = np.linalg.solve(system, rhs)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from misinfosim import (
     ALSConfig,
@@ -11,9 +12,10 @@ from misinfosim import (
     objective,
     solve_row,
 )
+from misinfosim import als
 
 from conftest import block_dataset, make_dataset, random_dataset
-from oracles import dense_solve_row
+from oracles import dense_solve_row, per_row_half_sweep
 
 
 def naive_objective(ds, X, Y, reg, alpha):
@@ -28,8 +30,52 @@ def naive_objective(ds, X, Y, reg, alpha):
     return total + reg * (float(np.sum(X * X)) + float(np.sum(Y * Y)))
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+@pytest.mark.parametrize("k", [3, 50])
+def test_half_sweep_is_bitwise_the_per_row_solve(k):
+    rng = np.random.default_rng(k)
+    block = als._SOLVE_CELLS // (k * k)
+    n_rows, n_fixed = 2 * block + 5, 40
+    dense = rng.random((n_rows, n_fixed)) < 0.15
+    # empty rows at the start, on and next to both block boundaries, and at the end
+    dense[[0, block - 1, block, block + 1, 2 * block - 1, 2 * block, n_rows - 1]] = False
+    mat = sparse.csr_matrix(dense.astype(np.int8))
+    fixed = rng.random((n_fixed, k))
+    cfg = ALSConfig(factors=k, regularization=0.1, iterations=1, alpha=40.0)
+    got = np.full((n_rows, k), np.nan)
+    want = np.full((n_rows, k), np.nan)
+    als._half_sweep(mat, got, fixed, cfg)
+    per_row_half_sweep(mat, want, fixed, cfg)
+    assert same_bits(got, want)
+
+
+def test_fit_is_bitwise_the_per_row_fit(monkeypatch):
+    ds = random_dataset(np.random.default_rng(41), n_users=60, n_items=80, p=0.1)
+    cfg = ALSConfig(factors=50, iterations=2, seed=3)
+    blocked = fit_als(ds, cfg)
+    monkeypatch.setattr(als, "_half_sweep", per_row_half_sweep)
+    reference = fit_als(ds, cfg)
+    assert same_bits(blocked.user_factors, reference.user_factors)
+    assert same_bits(blocked.item_factors, reference.item_factors)
+    assert same_bits(np.array(blocked.objective_trace), np.array(reference.objective_trace))
+
+
+def test_half_sweep_singular_block_raises():
+    mat = sparse.csr_matrix(np.array([[1, 0, 1], [0, 0, 0], [0, 1, 0], [1, 1, 1]], dtype=np.int8))
+    cfg = ALSConfig(factors=2, regularization=0.0, iterations=1, alpha=0.0)
+    with pytest.raises(NumericalError, match="singular"):
+        als._half_sweep(mat, np.zeros((4, 2)), np.zeros((3, 2)), cfg)
+
+
+def test_fit_names_the_half_sweep_of_a_singular_solve():
+    ds = random_dataset(np.random.default_rng(43), n_users=8, n_items=10, p=0.3)
+    # initial factors this small square to exactly zero, so every system is zero
+    cfg = ALSConfig(factors=2, regularization=0.0, iterations=1, alpha=0.0, init_scale=1e-200)
+    with pytest.raises(NumericalError, match=r"half-sweep 1 \(users\): singular"):
+        fit_als(ds, cfg)
 
 
 def test_solve_row_matches_dense_oracle():
@@ -135,8 +181,6 @@ def test_rank3_block_recovery():
 
 
 def test_fit_rejects_empty_dataset():
-    from scipy import sparse
-
     ds = make_dataset({"u": ["a"]})
     empty = Dataset(
         ds.user_ids, ds.item_ids, ds.item_misinfo, sparse.csr_matrix((1, 1), dtype=np.int8)
