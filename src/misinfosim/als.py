@@ -98,7 +98,8 @@ def solve_row(
     """Solve one row's normal equations against the fixed factor side.
 
     `interactions_of_row` holds the indices of the row's observed entries
-    (its sparse binary vector).
+    (its sparse binary vector). `fit_als` does not call this; it is the
+    public one-row reference that the tests check against a dense solve.
     """
     cfg.validate()
     fixed = np.asarray(fixed_factors, dtype=np.float64)
@@ -136,7 +137,8 @@ def _objective_value(
 
 
 def objective(ds: Dataset, model: FactorModel, cfg: ALSConfig) -> float:
-    """Exact loss over all U*I cells plus regularization."""
+    """Exact loss over all U*I cells plus regularization: the value `fit_als`
+    traces, as a checked public reference for the tests."""
     X, Y = model.user_factors, model.item_factors
     if X.shape[0] != ds.n_users or Y.shape[0] != ds.n_items or X.shape[1] != Y.shape[1]:
         raise ValueError("factor shapes do not match the dataset")

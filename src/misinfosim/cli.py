@@ -27,7 +27,6 @@ from .config import (
     synth_config,
 )
 from .dataset import (
-    STATS_CSV_HEADER,
     compute_stats,
     load_dataset,
     save_dataset,
@@ -119,7 +118,7 @@ def _cmd_grid(args: argparse.Namespace, typical_only: bool) -> int:
     cfg = experiment_config(parser, args.seed, typical_only=typical_only)
     rows = run_grid(ds, cfg, workers=args.workers)
     _write(emit_report(rows, args.format), args.out)
-    if getattr(args, "aggregate_out", None):
+    if args.aggregate_out:
         agg = aggregate_levels(rows, args.aggregate_dim)
         if not agg:
             raise ConfigError(

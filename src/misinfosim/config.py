@@ -82,18 +82,15 @@ def synth_config(parser: configparser.ConfigParser) -> SynthConfig:
     if not parser.has_section("synth"):
         raise ConfigError("config has no [synth] section")
     sec = parser["synth"]
-    try:
-        cfg = SynthConfig(
-            user_count=_get(sec, "users", int, 0),
-            item_count=_get(sec, "items", int, 0),
-            mean_profile_size=_get(sec, "mean_profile_size", float, 0.0),
-            misinfo_item_fraction=_get(sec, "misinfo_item_fraction", float, 0.0),
-            popularity_exponent=_get(sec, "popularity_exponent", float, 1.0),
-            misinfo_popularity_boost=_get(sec, "misinfo_popularity_boost", float, 1.0),
-            seed=_get(sec, "seed", int, 0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad [synth] value: {exc}") from exc
+    cfg = SynthConfig(
+        user_count=_get(sec, "users", int, 0),
+        item_count=_get(sec, "items", int, 0),
+        mean_profile_size=_get(sec, "mean_profile_size", float, 0.0),
+        misinfo_item_fraction=_get(sec, "misinfo_item_fraction", float, 0.0),
+        popularity_exponent=_get(sec, "popularity_exponent", float, 1.0),
+        misinfo_popularity_boost=_get(sec, "misinfo_popularity_boost", float, 1.0),
+        seed=_get(sec, "seed", int, 0),
+    )
     cfg.validate()
     return cfg
 

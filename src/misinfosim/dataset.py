@@ -252,7 +252,6 @@ class DatasetStats:
 class ValidationReport:
     orphan_users: tuple[str, ...]  # users with zero interactions
     orphan_items: tuple[str, ...]  # items with zero interactions
-    misinfo_item_fraction: float
 
 
 def compute_stats(ds: Dataset) -> DatasetStats:
@@ -279,7 +278,6 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
     return ValidationReport(
         orphan_users=tuple(ds.user_ids[u] for u in np.flatnonzero(user_counts == 0)),
         orphan_items=tuple(ds.item_ids[i] for i in np.flatnonzero(item_counts == 0)),
-        misinfo_item_fraction=float(ds.item_misinfo.sum()) / ds.n_items if ds.n_items else 0.0,
     )
 
 

@@ -121,33 +121,6 @@ def typical_grid(seed: int = 0, alpha: float = 40.0, init_scale: float = 0.1) ->
     ]
 
 
-def config_from_row(rec: str, params: str) -> RecommenderConfig:
-    """Rebuild the recommender configuration a result row was produced with."""
-    fields = parse_params_label(params)
-    if rec == "Rnd":
-        return RecommenderConfig(kind="Rnd", seed=int(fields.get("seed", 0)))
-    if rec == "Pop":
-        return RecommenderConfig(kind="Pop")
-    if rec in ("UB", "IB"):
-        return RecommenderConfig(
-            kind=rec,
-            neighbors=int(fields["k"]),
-            similarity=SimilarityKind.parse(fields["sim"]),
-            exponent=int(fields["q"]),
-        )
-    if rec == "MF":
-        als = ALSConfig(
-            factors=int(fields["factors"]),
-            regularization=float(fields["lambda"]),
-            iterations=int(fields["iters"]),
-            alpha=float(fields["alpha"]),
-            init_scale=float(fields["scale"]),
-            seed=int(fields["seed"]),
-        )
-        return RecommenderConfig(kind="MF", seed=als.seed, als=als)
-    raise ValueError(f"unknown recommender kind {rec!r}")
-
-
 def _run_cell(args: tuple) -> list[ResultRow]:
     ratio_label, ds_r, rec_cfg, cutoffs = args
     label = rec_cfg.params_label()

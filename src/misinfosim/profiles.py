@@ -28,10 +28,6 @@ class RatioSpec:
     value: Optional[Fraction] = None
 
     @classmethod
-    def unconstrained(cls) -> "RatioSpec":
-        return cls(None)
-
-    @classmethod
     def parse(cls, text: str) -> "RatioSpec":
         token = text.strip().lower()
         if token in ("none", "unconstrained", ""):
@@ -66,19 +62,6 @@ class ProfileCounts:
         return self.misinfo + self.neutral
 
 
-@dataclass(frozen=True)
-class UserProfile:
-    """One user's interacted items, partitioned by label (sorted indices)."""
-
-    user: int
-    misinfo_items: np.ndarray
-    neutral_items: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.misinfo_items) + len(self.neutral_items)
-
-
 def resolve_profile_counts(
     misinfo_avail: int, neutral_avail: int, ratio: Fraction
 ) -> Optional[ProfileCounts]:
@@ -95,70 +78,41 @@ def resolve_profile_counts(
     return ProfileCounts(misinfo=m * p, neutral=m * (q - p))
 
 
-def profile_of(ds: Dataset, u: int) -> UserProfile:
-    items = ds.profile(u)
-    mask = ds.item_misinfo[items]
-    return UserProfile(user=u, misinfo_items=items[mask], neutral_items=items[~mask])
-
-
-def generate_profile(
-    profile: UserProfile, ratio: RatioSpec, seed: int
-) -> Optional[UserProfile]:
-    """Rebuild one profile at the target ratio; None means the user is dropped.
-
-    Sampling is uniform without replacement within each partition, from a
-    substream keyed by (seed, user index).
-    """
-    if ratio.is_unconstrained:
-        return profile
-    counts = resolve_profile_counts(
-        len(profile.misinfo_items), len(profile.neutral_items), ratio.value
-    )
-    if counts is None:
-        return None
-    rng = substream(seed, profile.user)
-    kept_mis = rng.choice(profile.misinfo_items, size=counts.misinfo, replace=False)
-    kept_neu = rng.choice(profile.neutral_items, size=counts.neutral, replace=False)
-    return UserProfile(
-        user=profile.user,
-        misinfo_items=np.sort(kept_mis),
-        neutral_items=np.sort(kept_neu),
-    )
-
-
 def build_ratio_dataset(ds: Dataset, ratio: RatioSpec, seed: int) -> Dataset:
-    """Apply generate_profile to every user; drop unattainable users, drop items
-    left with zero interactions, and re-index deterministically."""
+    """Rebuild every profile at the target ratio; drop unattainable users, drop
+    items left with zero interactions, and re-index deterministically.
+
+    Sampling is uniform without replacement within each label partition, from
+    a substream keyed by (seed, user index): misinformative items first, then
+    neutral ones.
+    """
     if ratio.is_unconstrained:
         return ds
 
-    survivors: list[tuple[int, np.ndarray]] = []
+    kept_users: list[int] = []
+    kept_profiles: list[np.ndarray] = []
     for u in range(ds.n_users):
-        rebuilt = generate_profile(profile_of(ds, u), ratio, seed)
-        if rebuilt is None:
+        items = ds.profile(u)
+        mask = ds.item_misinfo[items]
+        misinfo, neutral = items[mask], items[~mask]
+        counts = resolve_profile_counts(len(misinfo), len(neutral), ratio.value)
+        if counts is None:
             continue
-        items = np.concatenate([rebuilt.misinfo_items, rebuilt.neutral_items])
-        survivors.append((u, np.sort(items)))
-    if not survivors:
-        raise EmptyDatasetError(
-            f"ratio {ratio.label()} drops every user in the dataset"
-        )
+        rng = substream(seed, u)
+        kept_mis = rng.choice(misinfo, size=counts.misinfo, replace=False)
+        kept_neu = rng.choice(neutral, size=counts.neutral, replace=False)
+        kept_users.append(u)
+        kept_profiles.append(np.sort(np.concatenate([kept_mis, kept_neu])))
+    if not kept_users:
+        raise EmptyDatasetError(f"ratio {ratio.label()} drops every user in the dataset")
 
-    kept_items = np.unique(np.concatenate([items for _, items in survivors]))
-    item_remap = {int(old): new for new, old in enumerate(kept_items)}
-    user_ids = tuple(ds.user_ids[u] for u, _ in survivors)
-    item_ids = tuple(ds.item_ids[i] for i in kept_items)
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    for new_u, (_, items) in enumerate(survivors):
-        rows.append(np.full(len(items), new_u, dtype=np.int64))
-        cols.append(np.array([item_remap[int(i)] for i in items], dtype=np.int64))
-
+    cols = np.concatenate(kept_profiles)
+    kept_items = np.unique(cols)
+    rows = np.repeat(np.arange(len(kept_users), dtype=np.int64), [len(p) for p in kept_profiles])
     return Dataset.from_indices(
-        user_ids,
-        item_ids,
+        tuple(ds.user_ids[u] for u in kept_users),
+        tuple(ds.item_ids[i] for i in kept_items),
         ds.item_misinfo[kept_items],
-        np.concatenate(rows),
-        np.concatenate(cols),
+        rows,
+        np.searchsorted(kept_items, cols).astype(np.int64),
     )

@@ -2,7 +2,7 @@
 
 All three measures depend only on the two set sizes, the intersection size,
 and (for the correlation) the size of the interaction universe, so the
-batched path works off sparse intersection counts. Pairs with an empty
+neighborhood build works off sparse intersection counts. Pairs with an empty
 intersection can never score positive under any of the measures (for the
 binary correlation the numerator is then -|A||B| <= 0), which is why the
 sparse co-occurrence structure covers every candidate neighbor.
@@ -10,7 +10,6 @@ sparse co-occurrence structure covers every candidate neighbor.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 import numpy as np
@@ -32,32 +31,6 @@ class SimilarityKind(Enum):
         except ValueError:
             valid = ", ".join(kind.value for kind in cls)
             raise ConfigError(f"unknown similarity {token!r}; expected one of: {valid}") from None
-
-
-def similarity(a, b, kind: SimilarityKind, universe_size: int) -> float:
-    """Similarity between two sets of interaction indices.
-
-    Degenerate 0/0 cases (either side empty, or constant vectors under the
-    correlation) evaluate to 0.
-    """
-    set_a, set_b = set(map(int, a)), set(map(int, b))
-    if universe_size < 1:
-        raise ValueError("universe_size must be at least 1")
-    if set_a | set_b:
-        if max(set_a | set_b) >= universe_size or min(set_a | set_b) < 0:
-            raise ValueError("index out of range of the universe")
-    na, nb = len(set_a), len(set_b)
-    c = len(set_a & set_b)
-    if kind is SimilarityKind.JACCARD:
-        union = na + nb - c
-        return c / union if union else 0.0
-    if kind is SimilarityKind.COSINE:
-        return c / math.sqrt(na * nb) if na and nb else 0.0
-    n = universe_size
-    den_sq = na * (n - na) * nb * (n - nb)
-    if den_sq == 0:
-        return 0.0
-    return (n * c - na * nb) / math.sqrt(den_sq)
 
 
 def _axis_view(ds: Dataset, axis: str) -> tuple[sparse.csr_matrix, int]:

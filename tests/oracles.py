@@ -8,9 +8,39 @@ admit no tolerance games. Neighborhoods are built once per dataset and
 configuration, then reused for every user.
 """
 
+import math
+
 import numpy as np
 
-from misinfosim import SimilarityKind, similarity
+from misinfosim import Dataset, SimilarityKind
+from misinfosim.profiles import resolve_profile_counts
+from misinfosim.seeds import substream
+
+
+def similarity(a, b, kind: SimilarityKind, universe_size: int) -> float:
+    """Similarity between two sets of interaction indices.
+
+    Degenerate 0/0 cases (either side empty, or constant vectors under the
+    correlation) evaluate to 0.
+    """
+    set_a, set_b = set(map(int, a)), set(map(int, b))
+    if universe_size < 1:
+        raise ValueError("universe_size must be at least 1")
+    if set_a | set_b:
+        if max(set_a | set_b) >= universe_size or min(set_a | set_b) < 0:
+            raise ValueError("index out of range of the universe")
+    na, nb = len(set_a), len(set_b)
+    c = len(set_a & set_b)
+    if kind is SimilarityKind.JACCARD:
+        union = na + nb - c
+        return c / union if union else 0.0
+    if kind is SimilarityKind.COSINE:
+        return c / math.sqrt(na * nb) if na and nb else 0.0
+    n = universe_size
+    den_sq = na * (n - na) * nb * (n - nb)
+    if den_sq == 0:
+        return 0.0
+    return (n * c - na * nb) / math.sqrt(den_sq)
 
 
 def user_profiles(ds):
@@ -149,3 +179,33 @@ def per_row_half_sweep(mat, target, fixed, cfg):
         else:
             rhs = np.zeros(k)
         target[row] = np.linalg.solve(system, rhs)
+
+
+def per_user_ratio_build(ds, ratio, seed):
+    """Reference ratio rebuild: one sampled profile per user, then a dict remap
+    of the surviving items."""
+    survivors = []
+    for u in range(ds.n_users):
+        items = ds.profile(u)
+        mask = ds.item_misinfo[items]
+        misinfo, neutral = items[mask], items[~mask]
+        counts = resolve_profile_counts(len(misinfo), len(neutral), ratio.value)
+        if counts is None:
+            continue
+        rng = substream(seed, u)
+        kept_mis = np.sort(rng.choice(misinfo, size=counts.misinfo, replace=False))
+        kept_neu = np.sort(rng.choice(neutral, size=counts.neutral, replace=False))
+        survivors.append((u, np.sort(np.concatenate([kept_mis, kept_neu]))))
+    kept_items = np.unique(np.concatenate([items for _, items in survivors]))
+    item_remap = {int(old): new for new, old in enumerate(kept_items)}
+    rows, cols = [], []
+    for new_u, (_, items) in enumerate(survivors):
+        rows.append(np.full(len(items), new_u, dtype=np.int64))
+        cols.append(np.array([item_remap[int(i)] for i in items], dtype=np.int64))
+    return Dataset.from_indices(
+        tuple(ds.user_ids[u] for u, _ in survivors),
+        tuple(ds.item_ids[i] for i in kept_items),
+        ds.item_misinfo[kept_items],
+        np.concatenate(rows),
+        np.concatenate(cols),
+    )

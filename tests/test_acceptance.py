@@ -21,22 +21,20 @@ from misinfosim import (
     SimilarityKind,
     SynthConfig,
     aggregate_report,
-    compute_stats,
-    fit_als,
     fit_recommender,
     generate_synthetic,
-    mf_grid,
+    run_simulation,
+)
+from misinfosim.als import fit_als, solve_row
+from misinfosim.cli import main
+from misinfosim.dataset import compute_stats, save_dataset, stats_csv
+from misinfosim.experiment import mf_grid, typical_grid
+from misinfosim.metrics import (
     misinformation_count,
     misinformation_gini,
     misinformation_ratio_difference,
-    resolve_profile_counts,
-    run_simulation,
-    save_dataset,
-    solve_row,
-    stats_csv,
-    typical_grid,
 )
-from misinfosim.cli import main
+from misinfosim.profiles import resolve_profile_counts
 
 from conftest import block_dataset, random_dataset
 from oracles import (

@@ -2,20 +2,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from misinfosim import (
-    ALSConfig,
-    ConfigError,
-    Dataset,
-    EmptyDatasetError,
-    NumericalError,
-    fit_als,
-    objective,
-    solve_row,
-)
+from misinfosim import ALSConfig, ConfigError, Dataset, EmptyDatasetError, NumericalError
 from misinfosim import als
+from misinfosim.als import fit_als, objective, solve_row
 
 from conftest import block_dataset, make_dataset, random_dataset
-from oracles import dense_solve_row, per_row_half_sweep
+from oracles import per_row_half_sweep
 
 
 def naive_objective(ds, X, Y, reg, alpha):
@@ -76,18 +68,6 @@ def test_fit_names_the_half_sweep_of_a_singular_solve():
     cfg = ALSConfig(factors=2, regularization=0.0, iterations=1, alpha=0.0, init_scale=1e-200)
     with pytest.raises(NumericalError, match=r"half-sweep 1 \(users\): singular"):
         fit_als(ds, cfg)
-
-
-def test_solve_row_matches_dense_oracle():
-    rng = np.random.default_rng(3)
-    cfg = ALSConfig(factors=4, regularization=0.05, iterations=1, alpha=17.0)
-    for _ in range(100):
-        n = int(rng.integers(1, 9))
-        fixed = rng.normal(size=(n, 4))
-        row = np.flatnonzero(rng.random(n) < 0.4)
-        got = solve_row(fixed, row, cfg)
-        want = dense_solve_row(fixed, row, cfg)
-        np.testing.assert_allclose(got, want, atol=1e-8, rtol=0)
 
 
 def test_solve_row_empty_row_is_zero_with_regularization():

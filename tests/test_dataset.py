@@ -5,19 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misinfosim import (
-    DataError,
-    Dataset,
-    EmptyDatasetError,
+from misinfosim import DataError, EmptyDatasetError, ParseError, load_dataset
+from misinfosim.dataset import (
+    STATS_CSV_HEADER,
     ItemLabel,
-    ParseError,
     compute_stats,
-    load_dataset,
     save_dataset,
     stats_csv,
     validate_dataset,
 )
-from misinfosim.dataset import STATS_CSV_HEADER
 
 from conftest import make_dataset
 

@@ -7,23 +7,25 @@ import pytest
 from misinfosim import (
     ALSConfig,
     ConfigError,
-    ExperimentConfig,
     RatioSpec,
     RecommenderConfig,
-    ResultRow,
     SimilarityKind,
-    aggregate_levels,
     aggregate_report,
     build_ratio_dataset,
-    config_from_row,
+    fit_recommender,
+)
+from misinfosim.config import grid_config
+from misinfosim.experiment import (
+    AGGREGATE_CSV_HEADER,
+    REPORT_CSV_HEADER,
+    ExperimentConfig,
+    ResultRow,
+    aggregate_levels,
     emit_aggregate,
     emit_report,
-    fit_recommender,
     run_grid,
     typical_grid,
 )
-from misinfosim.config import grid_config
-from misinfosim.experiment import AGGREGATE_CSV_HEADER, REPORT_CSV_HEADER
 
 from conftest import make_dataset
 
@@ -81,14 +83,16 @@ def test_typical_grid_is_one_per_family():
 
 
 def test_config_from_row_round_trips_every_grid_cell():
-    for cfg in grid_config(ConfigParser(), 4):
-        rebuilt = config_from_row(cfg.kind, cfg.params_label())
-        assert rebuilt.kind == cfg.kind
-        assert rebuilt.params_label() == cfg.params_label()
-        if cfg.kind == "MF":
-            assert rebuilt.als == cfg.als
-    with pytest.raises(ValueError):
-        config_from_row("SVD", "-")
+    """A report row's (rec, params) pair names exactly one cell of its grid.
+
+    Report rows tell configurations apart only by that pair; ``params_label``
+    alone is not enough, because UB and IB share labels.
+    """
+    for grid in (grid_config(ConfigParser(), 4), typical_grid(seed=4)):
+        by_label = {(cfg.kind, cfg.params_label()): cfg for cfg in grid}
+        assert len(by_label) == len(grid)
+        for cfg in grid:
+            assert by_label[cfg.kind, cfg.params_label()] is cfg
 
 
 # -- run_grid ---------------------------------------------------------------------
@@ -180,9 +184,10 @@ def test_rows_regenerate_from_their_own_labels(grid_ds):
         master_seed=7,
     )
     rows = run_grid(grid_ds, cfg)
+    by_label = {(rc.kind, rc.params_label()): rc for rc in cfg.recommenders}
     for row in rows:
         assert row.error is None
-        rebuilt_cfg = config_from_row(row.rec, row.params)
+        rebuilt_cfg = by_label[row.rec, row.params]
         ds_r = build_ratio_dataset(grid_ds, RatioSpec.parse(row.ratio), cfg.master_seed)
         rec = fit_recommender(ds_r, rebuilt_cfg)
         rep = aggregate_report(ds_r, rec.recommend_all(row.cutoff), row.cutoff)

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misinfosim import (
-    RecommendationList,
-    UndefinedMetricError,
-    aggregate_report,
+from misinfosim import UndefinedMetricError, aggregate_report
+from misinfosim.metrics import (
     misinformation_count,
     misinformation_gini,
     misinformation_ratio_difference,
 )
+from misinfosim.recommenders import RecommendationList
 
 from conftest import make_dataset
 from oracles import naive_mc, naive_mg, naive_mrd

@@ -1,3 +1,4 @@
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -5,18 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misinfosim import (
-    ConfigError,
-    EmptyDatasetError,
-    ProfileCounts,
-    RatioSpec,
-    build_ratio_dataset,
-    generate_profile,
-    profile_of,
-    resolve_profile_counts,
-)
+from misinfosim import ConfigError, EmptyDatasetError, RatioSpec, build_ratio_dataset
+from misinfosim.profiles import ProfileCounts, resolve_profile_counts
 
-from conftest import make_dataset
+from conftest import make_dataset, random_dataset
+from oracles import per_user_ratio_build
 
 
 def oracle_counts(misinfo_avail: int, neutral_avail: int, ratio: Fraction):
@@ -91,7 +85,7 @@ def test_resolve_matches_exhaustive_oracle(mis, neu, ratio):
         assert Fraction(got.misinfo, got.total) == ratio
 
 
-# -- per-user generation ------------------------------------------------------
+# -- per-user rebuild ---------------------------------------------------------
 
 @pytest.fixture
 def mixed_ds():
@@ -105,49 +99,52 @@ def mixed_ds():
     )
 
 
-def _items(profile):
-    return np.concatenate([profile.misinfo_items, profile.neutral_items]).tolist()
+def _profile_ids(ds, uid):
+    return {ds.item_ids[i] for i in ds.profile(ds.user_index(uid))}
 
 
 def test_generate_profile_unconstrained_keeps_everything(mixed_ds):
-    u = mixed_ds.user_index("u_rich")
-    prof = profile_of(mixed_ds, u)
-    out = generate_profile(prof, RatioSpec.parse("none"), seed=3)
-    assert out is not None
-    assert sorted(_items(out)) == sorted(_items(prof))
+    rebuilt = build_ratio_dataset(mixed_ds, RatioSpec.parse("none"), seed=3)
+    for uid in mixed_ds.user_ids:
+        assert _profile_ids(rebuilt, uid) == _profile_ids(mixed_ds, uid)
 
 
 def test_generate_profile_exact_ratio_and_subset(mixed_ds):
-    ratio = RatioSpec.parse("1/5")
-    u = mixed_ds.user_index("u_rich")
-    prof = profile_of(mixed_ds, u)
-    out = generate_profile(prof, ratio, seed=3)
-    assert out is not None
-    mask = mixed_ds.item_misinfo
-    assert mask[out.misinfo_items].all()
-    assert not mask[out.neutral_items].any()
+    rebuilt = build_ratio_dataset(mixed_ds, RatioSpec.parse("1/5"), seed=3)
+    labeled = rebuilt.item_misinfo[rebuilt.profile(rebuilt.user_index("u_rich"))]
     # maximal exact rebuild: 2 labeled + 8 neutral from (4, 8) at ratio 1/5
-    assert (len(out.misinfo_items), len(out.neutral_items)) == (2, 8)
-    assert set(_items(out)) <= set(mixed_ds.profile(u).tolist())
+    assert (int(labeled.sum()), int((~labeled).sum())) == (2, 8)
+    assert _profile_ids(rebuilt, "u_rich") <= _profile_ids(mixed_ds, "u_rich")
 
 
 def test_generate_profile_unattainable_returns_none(mixed_ds):
-    u = mixed_ds.user_index("u_none")  # no labeled items at all
-    prof = profile_of(mixed_ds, u)
-    assert generate_profile(prof, RatioSpec.parse("1/5"), seed=3) is None
+    rebuilt = build_ratio_dataset(mixed_ds, RatioSpec.parse("1/5"), seed=3)
+    assert "u_none" not in rebuilt.user_ids  # no labeled items at all
 
 
 def test_generate_profile_deterministic_per_seed(mixed_ds):
     ratio = RatioSpec.parse("1/2")
-    u = mixed_ds.user_index("u_rich")
-    prof = profile_of(mixed_ds, u)
-    a = generate_profile(prof, ratio, seed=9)
-    b = generate_profile(prof, ratio, seed=9)
-    c = generate_profile(prof, ratio, seed=10)
-    assert a is not None and b is not None and c is not None
-    assert _items(a) == _items(b)
-    # different seed usually differs; at minimum counts still match exactly
-    assert a.size == c.size
+    a = build_ratio_dataset(mixed_ds, ratio, seed=9)
+    b = build_ratio_dataset(mixed_ds, ratio, seed=9)
+    c = build_ratio_dataset(mixed_ds, ratio, seed=10)
+    assert _profile_ids(a, "u_rich") == _profile_ids(b, "u_rich")
+    # another seed may keep other items, but the same users with the same sizes
+    assert c.user_ids == a.user_ids
+    assert np.diff(c.matrix.indptr).tolist() == np.diff(a.matrix.indptr).tolist()
+
+
+@pytest.mark.parametrize("ratio", ["1/5", "1/2", "4/5", "2/7"])
+@pytest.mark.parametrize("seed", [0, 1, 17])
+def test_build_ratio_dataset_matches_per_user_oracle(ratio, seed):
+    rng = np.random.default_rng(zlib.crc32(f"{ratio}/{seed}".encode()))
+    # per-user densities from empty to dense profiles
+    ds = random_dataset(rng, n_users=50, n_items=40, p=rng.uniform(0.0, 0.7, size=(50, 1)))
+    spec = RatioSpec.parse(ratio)
+    want = per_user_ratio_build(ds, spec, seed)
+    # some users keep a rebuilt profile and some cannot reach the ratio
+    assert 0 < want.n_users < ds.n_users
+    got = build_ratio_dataset(ds, spec, seed)
+    assert got == want  # Dataset equality covers ids, labels and every profile
 
 
 # -- whole-dataset rebuild ----------------------------------------------------

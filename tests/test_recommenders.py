@@ -3,16 +3,9 @@ import zlib
 import numpy as np
 import pytest
 
-from misinfosim import (
-    ALSConfig,
-    ConfigError,
-    RecommenderConfig,
-    SimilarityKind,
-    build_recommender,
-    fit_recommender,
-)
+from misinfosim import ALSConfig, ConfigError, RecommenderConfig, SimilarityKind, fit_recommender
 from misinfosim import recommenders
-from misinfosim.experiment import config_from_row
+from misinfosim.recommenders import build_recommender
 
 from conftest import make_dataset, random_dataset
 from oracles import brute_item_based, brute_user_based
@@ -53,21 +46,25 @@ def test_config_validation():
 
 
 def test_params_label_round_trips_through_config_from_row():
+    """Every parameter of a configuration reads back from its report label."""
     configs = [
-        RecommenderConfig(kind="Rnd", seed=7),
-        RecommenderConfig(kind="Pop"),
-        knn_cfg("UB", k=10, sim=SimilarityKind.PEARSON, q=3),
-        knn_cfg("IB", k=100, sim=SimilarityKind.COSINE, q=2),
-        RecommenderConfig(
-            kind="MF",
-            seed=5,
-            als=ALSConfig(factors=20, regularization=0.01, iterations=100, alpha=40.0, init_scale=0.1, seed=5),
+        (RecommenderConfig(kind="Rnd", seed=7), {"seed": "7"}),
+        (RecommenderConfig(kind="Pop"), {}),
+        (knn_cfg("UB", k=10, sim=SimilarityKind.PEARSON, q=3), {"k": "10", "sim": "pearson", "q": "3"}),
+        (knn_cfg("IB", k=100, sim=SimilarityKind.COSINE, q=2), {"k": "100", "sim": "cos", "q": "2"}),
+        (
+            RecommenderConfig(
+                kind="MF",
+                seed=5,
+                als=ALSConfig(factors=20, regularization=0.01, iterations=100, alpha=40.0, init_scale=0.1, seed=5),
+            ),
+            {"factors": "20", "lambda": "0.01", "iters": "100", "alpha": "40", "scale": "0.1", "seed": "5"},
         ),
     ]
-    for cfg in configs:
-        rebuilt = config_from_row(cfg.kind, cfg.params_label())
-        assert rebuilt.kind == cfg.kind
-        assert rebuilt.params_label() == cfg.params_label()
+    for cfg, want in configs:
+        label = cfg.params_label()
+        got = {} if label == "-" else dict(kv.split("=") for kv in label.split(";"))
+        assert got == want
 
 
 # -- shared ranking contract ---------------------------------------------------

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misinfosim import SimilarityKind, neighborhood_matrix, similarity
-from misinfosim.errors import ConfigError
+from misinfosim import ConfigError, SimilarityKind
+from misinfosim.similarity import neighborhood_matrix
 
 from conftest import make_dataset, random_dataset
+from oracles import similarity
 
 KINDS = list(SimilarityKind)
 

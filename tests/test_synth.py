@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from misinfosim import ConfigError, SynthConfig, generate_synthetic, provenance_text
+from misinfosim import ConfigError, SynthConfig, generate_synthetic
+from misinfosim.synth import provenance_text
 
 
 def cfg(**kw):
