@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from .config import (
@@ -119,7 +120,11 @@ def _cmd_grid(args: argparse.Namespace, typical_only: bool) -> int:
     rows = run_grid(ds, cfg, workers=args.workers)
     _write(emit_report(rows, args.format), args.out)
     if args.aggregate_out:
-        agg = aggregate_levels(rows, args.aggregate_dim)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            agg = aggregate_levels(rows, args.aggregate_dim)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
         if not agg:
             raise ConfigError(
                 "nothing to aggregate: no MF/UB/IB rows at cutoff 10; add 10 to [metrics] cutoffs"

@@ -62,9 +62,18 @@ def _parse_list(raw: str, convert: Callable[[str], T], what: str) -> list[T]:
     if not tokens:
         raise ConfigError(f"{what} must list at least one value")
     try:
-        return [convert(tok) for tok in tokens]
+        values = [convert(tok) for tok in tokens]
     except ValueError as exc:
         raise ConfigError(f"bad {what} value: {exc}") from exc
+    _reject_repeats(tokens, values, what)
+    return values
+
+
+def _reject_repeats(tokens: Sequence[str], values: Sequence, what: str) -> None:
+    """A repeated value would repeat report rows; parsed values compare, so 1/5 equals 0.2."""
+    for idx, value in enumerate(values):
+        if value in values[:idx]:
+            raise ConfigError(f"{what} lists the value {tokens[idx]!r} more than once")
 
 
 def _value(section: configparser.SectionProxy, key: str, convert: Callable[[str], T]) -> T:
@@ -118,7 +127,9 @@ def ratios_config(parser: configparser.ConfigParser) -> tuple[RatioSpec, ...]:
         raw = _split(parser["ratios"]["ratios"])
         if not raw:
             raise ConfigError("[ratios] ratios must list at least one value")
-    return tuple(RatioSpec.parse(tok) for tok in raw)
+    ratios = tuple(RatioSpec.parse(tok) for tok in raw)
+    _reject_repeats(raw, ratios, "[ratios] ratios")
+    return ratios
 
 
 def cutoffs_config(parser: configparser.ConfigParser) -> tuple[int, ...]:

@@ -2,10 +2,11 @@
 
 A grid run rebuilds the dataset at each requested misinformation ratio,
 fits every configured recommender on the rebuilt data, and reports the
-three exposure metrics at each cutoff. Ratios that no user can satisfy
-produce an error row instead of aborting the run. Rows are emitted in a
-canonical order so equal inputs give byte-identical reports regardless of
-worker count.
+three exposure metrics at each cutoff. UB (or IB) configs of one similarity
+run as one task that builds their neighborhood once, at their largest k.
+Ratios that no user can satisfy produce an error row instead of aborting the
+run. Rows are emitted in a canonical order so equal inputs give
+byte-identical reports regardless of worker count.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from .metrics import aggregate_report
 from .profiles import RatioSpec, build_ratio_dataset
 from .recommenders import (
     RecommenderConfig,
-    fit_recommender,
+    build_recommender,
     parse_params_label,
+    shared_neighborhoods,
 )
-from .similarity import SimilarityKind
+from .similarity import NeighborhoodPrefixes, SimilarityKind
 
 REPORT_CSV_HEADER = "ratio,rec,params,cutoff,MC,MRD,MG"
 AGGREGATE_CSV_HEADER = "rec,level,ratio,MC@10"
@@ -121,11 +123,16 @@ def typical_grid(seed: int = 0, alpha: float = 40.0, init_scale: float = 0.1) ->
     ]
 
 
-def _run_cell(args: tuple) -> list[ResultRow]:
-    ratio_label, ds_r, rec_cfg, cutoffs = args
+def _config_rows(
+    ratio_label: str,
+    ds_r: Dataset,
+    rec_cfg: RecommenderConfig,
+    cutoffs: tuple[int, ...],
+    shared: Optional[NeighborhoodPrefixes],
+) -> list[ResultRow]:
     label = rec_cfg.params_label()
     try:
-        rec = fit_recommender(ds_r, rec_cfg)
+        rec = build_recommender(rec_cfg, shared).fit(ds_r)
         lists = rec.recommend_all(max(cutoffs))
         rows = []
         for cutoff in cutoffs:
@@ -147,10 +154,26 @@ def _run_cell(args: tuple) -> list[ResultRow]:
         return [ResultRow(ratio=ratio_label, rec="error", params=message, cutoff=None, error=message)]
 
 
+def _run_cell(args: tuple) -> list[ResultRow]:
+    """One pool task: a single config, or UB/IB configs that share one neighborhood build."""
+    ratio_label, ds_r, rec_cfgs, cutoffs = args
+    shared = shared_neighborhoods(ds_r, rec_cfgs) if len(rec_cfgs) > 1 else None
+    return [row for rc in rec_cfgs for row in _config_rows(ratio_label, ds_r, rc, cutoffs, shared)]
+
+
+def _tasks(recommenders: Sequence[RecommenderConfig]) -> list[tuple[RecommenderConfig, ...]]:
+    """UB (or IB) configs of one similarity form one task; every other config is its own."""
+    tasks: dict[object, list[RecommenderConfig]] = {}
+    for idx, rc in enumerate(recommenders):
+        key = (rc.kind, rc.similarity) if rc.kind in ("UB", "IB") else idx
+        tasks.setdefault(key, []).append(rc)
+    return [tuple(configs) for configs in tasks.values()]
+
+
 def run_grid(ds: Dataset, cfg: ExperimentConfig, workers: int = 1) -> list[ResultRow]:
     """Run every (ratio, recommender) cell; rows come back canonically sorted.
 
-    `workers` > 1 fans cells out to a process pool. The result is
+    `workers` > 1 fans tasks out to a process pool. The result is
     independent of worker count.
     """
     cfg.validate()
@@ -159,6 +182,7 @@ def run_grid(ds: Dataset, cfg: ExperimentConfig, workers: int = 1) -> list[Resul
 
     indexed_rows: list[tuple[int, ResultRow]] = []
     cells: list[tuple[int, tuple]] = []
+    tasks = _tasks(cfg.recommenders)
     for ridx, ratio in enumerate(cfg.ratios):
         label = ratio.label()
         try:
@@ -169,8 +193,9 @@ def run_grid(ds: Dataset, cfg: ExperimentConfig, workers: int = 1) -> list[Resul
                 (ridx, ResultRow(ratio=label, rec="error", params=message, cutoff=None, error=message))
             )
             continue
-        for rc in cfg.recommenders:
-            cells.append((ridx, (label, ds_r, rc, cfg.cutoffs)))
+        for configs in tasks:
+            cells.append((ridx, (label, ds_r, configs, cfg.cutoffs)))
+    cells.sort(key=lambda cell: len(cell[1][2]), reverse=True)  # longest first; sort is stable
 
     if workers == 1 or len(cells) <= 1:
         produced = [_run_cell(args) for _, args in cells]

@@ -14,21 +14,23 @@ step (`Recommender._rank`) turns every block into lists. The neighborhood
 models drop candidates whose score is not positive (no positive-similarity
 neighbor reaches them); Rnd, Pop and MF rank every unseen item. Score
 accumulation always walks neighbors in ascending index order so results do
-not depend on sparse storage order.
+not depend on sparse storage order. UB or IB configs that differ only in k
+and q can share one neighborhood build (`shared_neighborhoods`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .als import ALSConfig, FactorModel, fit_als
 from .dataset import Dataset
 from .errors import ConfigError, EmptyDatasetError
 from .seeds import substream
-from .similarity import SimilarityKind, neighborhood_matrix
+from .similarity import NeighborhoodPrefixes, SimilarityKind, neighborhood_matrix
 
 RECOMMENDER_KINDS = ("Rnd", "Pop", "UB", "IB", "MF")
 CELLS = 1 << 16  # score cells per block in recommend_all
@@ -227,30 +229,48 @@ class PopularityRecommender(Recommender):
         return np.repeat(self._counts[np.newaxis, :], users.stop - users.start, axis=0)
 
 
-class UserBasedRecommender(Recommender):
+class _NeighborhoodRecommender(Recommender):
+    """The top-k similarity weights along `axis`, raised to the exponent q."""
+
+    axis: str = "?"
+
+    def __init__(self, cfg: RecommenderConfig, shared: Optional[NeighborhoodPrefixes] = None):
+        """`shared`, if given, is a build on the dataset this recommender will be
+        fitted to, for its similarity and at least its k (`shared_neighborhoods`)."""
+        super().__init__(cfg)
+        self.shared = shared
+
+    def _neighborhood(self, ds: Dataset) -> sparse.csr_matrix:
+        if self.shared is None:
+            weights = neighborhood_matrix(ds, self.axis, self.cfg.neighbors, self.cfg.similarity)
+        else:
+            weights = self.shared.truncated(self.cfg.neighbors)
+        weights.data = _integer_power(weights.data, self.cfg.exponent)
+        return weights
+
+
+class UserBasedRecommender(_NeighborhoodRecommender):
     """k-nearest-neighbor scoring over user similarities."""
 
     kind = "UB"
+    axis = "users"
 
     def _fit(self, ds: Dataset) -> None:
-        weights = neighborhood_matrix(ds, "users", self.cfg.neighbors, self.cfg.similarity)
-        weights.data = _integer_power(weights.data, self.cfg.exponent)
-        self._weights = weights  # csr: row u -> neighbors v, ascending v
+        self._weights = self._neighborhood(ds)  # csr: row u -> neighbors v, ascending v
 
     def _score_block(self, users: slice) -> np.ndarray:
         # csr @ csr sums a cell in the left row's index order; sorted rows give ascending v
         return (self._weights[users] @ self._fitted().matrix).toarray()
 
 
-class ItemBasedRecommender(Recommender):
+class ItemBasedRecommender(_NeighborhoodRecommender):
     """k-nearest-neighbor scoring over item similarities."""
 
     kind = "IB"
+    axis = "items"
 
     def _fit(self, ds: Dataset) -> None:
-        weights = neighborhood_matrix(ds, "items", self.cfg.neighbors, self.cfg.similarity)
-        weights.data = _integer_power(weights.data, self.cfg.exponent)
-        self._by_member = weights.T.tocsr()  # row j -> anchors i scored via j
+        self._by_member = self._neighborhood(ds).T.tocsr()  # row j -> anchors i scored via j
 
     def _score_block(self, users: slice) -> np.ndarray:
         # csr @ csr sums a cell in the left row's index order; sorted rows give ascending j
@@ -282,10 +302,27 @@ _CLASSES = {
 }
 
 
-def build_recommender(cfg: RecommenderConfig) -> Recommender:
+def build_recommender(
+    cfg: RecommenderConfig, shared: Optional[NeighborhoodPrefixes] = None
+) -> Recommender:
+    """An unfitted recommender; `shared` (UB and IB only) comes from `shared_neighborhoods`."""
     cfg.validate()
-    return _CLASSES[cfg.kind](cfg)
+    cls = _CLASSES[cfg.kind]
+    return cls(cfg) if shared is None else cls(cfg, shared)
 
 
 def fit_recommender(ds: Dataset, cfg: RecommenderConfig) -> Recommender:
     return build_recommender(cfg).fit(ds)
+
+
+def shared_neighborhoods(ds: Dataset, cfgs: Sequence[RecommenderConfig]) -> NeighborhoodPrefixes:
+    """One neighborhood build for UB or IB configs that differ only in k and q.
+
+    The build is at the largest k; `build_recommender(cfg, shared)` fits
+    each config from it on `ds` exactly as from a build at its own k.
+    """
+    if len({(cfg.kind, cfg.similarity) for cfg in cfgs}) != 1 or cfgs[0].kind not in ("UB", "IB"):
+        raise ValueError("a shared neighborhood serves UB or IB configs of one kind and similarity")
+    k = max(cfg.neighbors for cfg in cfgs)
+    axis = "users" if cfgs[0].kind == "UB" else "items"
+    return NeighborhoodPrefixes(neighborhood_matrix(ds, axis, k, cfgs[0].similarity), k)

@@ -5,7 +5,8 @@ and (for the correlation) the size of the interaction universe, so the
 neighborhood build works off sparse intersection counts. Pairs with an empty
 intersection can never score positive under any of the measures (for the
 binary correlation the numerator is then -|A||B| <= 0), which is why the
-sparse co-occurrence structure covers every candidate neighbor.
+sparse co-occurrence structure covers every candidate neighbor. A build at
+one k also serves every smaller k exactly (`NeighborhoodPrefixes`).
 """
 
 from __future__ import annotations
@@ -110,3 +111,32 @@ def neighborhood_matrix(ds: Dataset, axis: str, k: int, kind: SimilarityKind) ->
     )
     out.sort_indices()
     return out
+
+
+class NeighborhoodPrefixes:
+    """One `neighborhood_matrix` build at k, cut exactly to any smaller k.
+
+    Each row of a build holds the first k entries of that row's (-weight,
+    ascending index) order, and the weights do not depend on k, so the build
+    at k' <= k is the first k' of those entries: the same columns and the
+    same weights, bit for bit. Each entry's position in that order is
+    computed once, so every cut is a mask.
+    """
+
+    def __init__(self, weights: sparse.csr_matrix, k: int):
+        self.weights = weights
+        self.k = k
+        rows = np.repeat(np.arange(weights.shape[0]), np.diff(weights.indptr))
+        order = np.lexsort((weights.indices, -weights.data, rows))
+        self._rank = np.empty(weights.nnz, dtype=np.int64)
+        self._rank[order] = np.arange(weights.nnz) - weights.indptr[rows[order]]
+
+    def truncated(self, k: int) -> sparse.csr_matrix:
+        """The weights `neighborhood_matrix` gives at k, as a new matrix."""
+        if not 1 <= k <= self.k:
+            raise ValueError(f"k must lie in [1, {self.k}], got {k}")
+        w = self.weights
+        keep = self._rank < k
+        indptr = np.zeros_like(w.indptr)
+        np.cumsum(np.minimum(np.diff(w.indptr), k), out=indptr[1:])
+        return sparse.csr_matrix((w.data[keep], w.indices[keep], indptr), shape=w.shape)

@@ -12,7 +12,16 @@ import math
 
 import numpy as np
 
-from misinfosim import Dataset, SimilarityKind
+from misinfosim import (
+    DataError,
+    Dataset,
+    MisinfoSimError,
+    SimilarityKind,
+    aggregate_report,
+    build_ratio_dataset,
+    fit_recommender,
+)
+from misinfosim.experiment import ResultRow
 from misinfosim.profiles import resolve_profile_counts
 from misinfosim.seeds import substream
 
@@ -209,3 +218,36 @@ def per_user_ratio_build(ds, ratio, seed):
         np.concatenate(rows),
         np.concatenate(cols),
     )
+
+
+def per_config_grid_rows(ds, cfg):
+    """Reference grid run: one fit (and neighborhood build) per config, serially.
+
+    Rows come in the canonical report order: ratio as configured, then
+    recommender family, then parameter label, then cutoff; a ratio no user
+    can satisfy, or a config that fails, gives one error row.
+    """
+    family = ["MF", "UB", "IB", "Rnd", "Pop", "error"]
+    keyed = []
+    for ridx, ratio in enumerate(cfg.ratios):
+        label = ratio.label()
+        try:
+            ds_r = build_ratio_dataset(ds, ratio, cfg.master_seed)
+        except DataError as exc:
+            message = f"ratio {label} unattainable: {exc}"
+            keyed.append(((ridx, 5, message, -1), ResultRow(label, "error", message, None, error=message)))
+            continue
+        for rc in cfg.recommenders:
+            params = rc.params_label()
+            try:
+                lists = fit_recommender(ds_r, rc).recommend_all(max(cfg.cutoffs))
+                reports = [aggregate_report(ds_r, lists, cutoff) for cutoff in cfg.cutoffs]
+            except MisinfoSimError as exc:
+                message = f"{rc.kind}[{params}]: {exc}"
+                keyed.append(((ridx, 5, message, -1), ResultRow(label, "error", message, None, error=message)))
+                continue
+            for rep in reports:
+                row = ResultRow(label, rc.kind, params, rep.cutoff, rep.mc, rep.mrd, rep.mg)
+                keyed.append(((ridx, family.index(rc.kind), params, rep.cutoff), row))
+    keyed.sort(key=lambda entry: entry[0])
+    return [row for _, row in keyed]

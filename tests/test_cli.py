@@ -101,7 +101,6 @@ def test_run_reports_typical_grid(synth_files, tmp_path):
     assert kinds == {"MF", "UB", "IB", "Rnd", "Pop"}
 
 
-@pytest.mark.filterwarnings("ignore:row \\(MF.*outside the known grid levels")
 def test_sweep_with_restricted_grid_and_aggregate(synth_files, tmp_path):
     inter, labels = synth_files
     cfg = tmp_path / "sweep.ini"
@@ -210,6 +209,26 @@ def test_config_errors_exit_one(synth_files, tmp_path, capsys):
     assert "[sim]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section",
+    [
+        "[grid.ub]\nk = 10, 50, 10\nsim = jac\nq = 1\n",
+        "[grid.ib]\nk = 10\nsim = jac, JAC\nq = 1\n",
+        "[metrics]\ncutoffs = 5, 10, 5\n",
+        "[ratios]\nratios = 1/5, 0.2\n",
+    ],
+    ids=["grid-k", "grid-sim", "cutoffs", "ratios"],
+)
+def test_repeated_list_values_exit_one(synth_files, tmp_path, capsys, section):
+    inter, labels = synth_files
+    cfg = tmp_path / "repeat.ini"
+    cfg.write_text(f"[dataset]\ninteractions = {inter}\nlabels = {labels}\n\n{section}")
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "misinfosim.cli", *args], capture_output=True, text=True
@@ -258,3 +277,21 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert "stats" in proc.stdout
+
+
+def test_sweep_prints_offgrid_rows_as_cli_warnings(synth_files, tmp_path):
+    inter, labels = synth_files
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(
+        f"[dataset]\ninteractions = {inter}\nlabels = {labels}\n\n"
+        "[ratios]\nratios = none\n\n[metrics]\ncutoffs = 10\n\n"
+        "[grid.mf]\nfactors = 4\nlambda = 0.1\niters = 2\n\n"
+        "[grid.ub]\nk = 10\nsim = jac\nq = 1\n\n[grid.ib]\nk = 10\nsim = jac\nq = 1\n"
+    )
+    proc = _cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv"),
+                "--aggregate-out", str(tmp_path / "a.csv"))
+    assert proc.returncode == 0
+    assert "warning: row (MF, factors=4;" in proc.stderr
+    assert "outside the known grid levels; skipped" in proc.stderr
+    assert "UserWarning" not in proc.stderr
+    assert "cli.py:" not in proc.stderr

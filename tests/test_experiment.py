@@ -2,6 +2,7 @@ import pickle
 from collections import Counter
 from configparser import ConfigParser
 
+import numpy as np
 import pytest
 
 from misinfosim import (
@@ -10,11 +11,14 @@ from misinfosim import (
     RatioSpec,
     RecommenderConfig,
     SimilarityKind,
+    UndefinedMetricError,
     aggregate_report,
     build_ratio_dataset,
     fit_recommender,
 )
+from misinfosim import experiment, recommenders
 from misinfosim.config import grid_config
+from misinfosim.similarity import NeighborhoodPrefixes
 from misinfosim.experiment import (
     AGGREGATE_CSV_HEADER,
     REPORT_CSV_HEADER,
@@ -23,11 +27,13 @@ from misinfosim.experiment import (
     aggregate_levels,
     emit_aggregate,
     emit_report,
+    knn_grid,
     run_grid,
     typical_grid,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, random_dataset
+from oracles import per_config_grid_rows
 
 
 @pytest.fixture()
@@ -167,6 +173,86 @@ def test_run_grid_validates_inputs(grid_ds):
         )
     with pytest.raises(ConfigError):
         run_grid(grid_ds, ExperimentConfig(ratios=(RatioSpec.parse("none"),), recommenders=(POP,)), workers=0)
+
+
+@pytest.fixture()
+def knn_sweep_cfg():
+    """The full 27 + 27 UB/IB grid with MF, Rnd and Pop, at two attainable ratios and one that is not."""
+    return ExperimentConfig(
+        ratios=(RatioSpec.parse("none"), RatioSpec.parse("99/100"), RatioSpec.parse("1/2")),
+        recommenders=(SMALL_MF, *knn_grid("UB"), *knn_grid("IB"), RND, POP),
+        cutoffs=(3, 5),
+        master_seed=5,
+    )
+
+
+@pytest.fixture()
+def sweep_ds():
+    return random_dataset(np.random.default_rng(31), n_users=60, n_items=80, p=0.15)
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """Counts neighborhood builds by (axis, k, similarity)."""
+    counts = Counter()
+    real_build = recommenders.neighborhood_matrix
+
+    def counted(ds, axis, k, kind):
+        counts[axis, k, kind] += 1
+        return real_build(ds, axis, k, kind)
+
+    monkeypatch.setattr(recommenders, "neighborhood_matrix", counted)
+    return counts
+
+
+def test_run_grid_builds_each_neighborhood_once_per_similarity(sweep_ds, knn_sweep_cfg, builds):
+    rows = run_grid(sweep_ds, knn_sweep_cfg, workers=1)
+    assert sum(row.error is not None for row in rows) == 1  # the unattainable ratio
+    # 2 attainable ratios x 2 axes x 3 similarities, each built once at the largest k
+    assert builds == {(axis, 100, kind): 2 for axis in ("users", "items") for kind in SimilarityKind}
+
+
+def test_single_config_tasks_build_at_their_own_k_without_truncation(sweep_ds, builds, monkeypatch):
+    def no_truncation(self, k):
+        raise AssertionError("a one-config task truncated its neighborhood")
+
+    monkeypatch.setattr(NeighborhoodPrefixes, "truncated", no_truncation)
+    cfg = ExperimentConfig(ratios=(RatioSpec.parse("none"),), recommenders=tuple(typical_grid()), cutoffs=(3,))
+    assert all(row.error is None for row in run_grid(sweep_ds, cfg, workers=1))
+    assert builds == {("users", 50, SimilarityKind.PEARSON): 1, ("items", 50, SimilarityKind.PEARSON): 1}
+
+
+def test_run_grid_matches_one_fit_per_config(sweep_ds, knn_sweep_cfg):
+    assert run_grid(sweep_ds, knn_sweep_cfg, workers=1) == per_config_grid_rows(sweep_ds, knn_sweep_cfg)
+
+
+def test_failed_config_reports_alone_in_its_group(sweep_ds, knn_sweep_cfg, monkeypatch):
+    failing = RecommenderConfig(kind="UB", neighbors=50, similarity=SimilarityKind.COSINE, exponent=2)
+    building = []
+    real_build, real_report = experiment.build_recommender, experiment.aggregate_report
+
+    def build(cfg, shared=None):
+        building.append(cfg)
+        return real_build(cfg, shared)
+
+    def report(ds, lists, cutoff):
+        if building[-1] == failing:
+            raise UndefinedMetricError("forced failure")
+        return real_report(ds, lists, cutoff)
+
+    monkeypatch.setattr(experiment, "build_recommender", build)
+    monkeypatch.setattr(experiment, "aggregate_report", report)
+    rows = run_grid(sweep_ds, knn_sweep_cfg, workers=1)
+    expected = per_config_grid_rows(sweep_ds, knn_sweep_cfg)
+    for ratio in ("none", "1/2"):
+        errors = [r.error for r in rows if r.ratio == ratio and r.error is not None]
+        assert errors == ["UB[k=50;sim=cos;q=2]: forced failure"]
+        # every other config, its group siblings included, reports as a per-config run would
+        kept = [
+            r for r in expected
+            if r.ratio == ratio and r.error is None and (r.rec, r.params) != ("UB", failing.params_label())
+        ]
+        assert [r for r in rows if r.ratio == ratio and r.error is None] == kept
 
 
 def test_result_rows_pickle_round_trip(grid_ds):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misinfosim import ConfigError, SimilarityKind
-from misinfosim.similarity import neighborhood_matrix
+from misinfosim.similarity import NeighborhoodPrefixes, neighborhood_matrix
 
 from conftest import make_dataset, random_dataset
 from oracles import similarity
@@ -153,3 +153,37 @@ def test_top_k_matches_brute_force(axis, kind):
                 want_idx, want_w = brute_top_k(ds, axis, anchor, k, kind)
                 assert indices.tolist() == want_idx
                 np.testing.assert_allclose(weights, want_w, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("axis", ["users", "items"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_truncated_build_is_bitwise_the_direct_build(axis, kind):
+    """Cutting a k=100 build to k gives neighborhood_matrix at k, bit for bit."""
+    rng = np.random.default_rng(23)
+    short_rows = straddling_ties = 0
+    for _ in range(3):
+        ds = random_dataset(rng, n_users=70, n_items=130, p=0.06)
+        wide = neighborhood_matrix(ds, axis, 100, kind)
+        prefixes = NeighborhoodPrefixes(wide, 100)
+        for k in (1, 10, 50):
+            direct = neighborhood_matrix(ds, axis, k, kind)
+            cut = prefixes.truncated(k)
+            assert cut.shape == direct.shape
+            assert cut.has_sorted_indices
+            np.testing.assert_array_equal(cut.indptr, direct.indptr)
+            np.testing.assert_array_equal(cut.indices, direct.indices)
+            np.testing.assert_array_equal(cut.data.view(np.uint64), direct.data.view(np.uint64))
+            for anchor in range(wide.shape[0]):
+                _, weights = _row(wide, anchor)
+                short_rows += weights.size < k
+                straddling_ties += weights.size > k and weights[k - 1] == weights[k]
+    # the data must exercise both edges of the cut
+    assert short_rows > 0
+    assert straddling_ties > 0
+
+
+def test_truncation_rejects_k_outside_the_build(tiny_ds):
+    prefixes = NeighborhoodPrefixes(neighborhood_matrix(tiny_ds, "users", 2, SimilarityKind.JACCARD), 2)
+    for k in (0, 3):
+        with pytest.raises(ValueError):
+            prefixes.truncated(k)
