@@ -17,81 +17,13 @@ Three list-level measures at a cutoff N:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import UndefinedMetricError
 from .recommenders import RecommendationList
-
-
-def misinformation_count(items: np.ndarray, misinfo_mask: np.ndarray, cutoff: int) -> float:
-    """Share of the top-`cutoff` slots holding labeled items, out of `cutoff`."""
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
-    top = np.asarray(items, dtype=np.int64)[:cutoff]
-    return float(np.count_nonzero(misinfo_mask[top])) / cutoff
-
-
-def misinformation_ratio_difference(
-    profile_items: np.ndarray,
-    rec_items: np.ndarray,
-    misinfo_mask: np.ndarray,
-    cutoff: int,
-) -> Optional[float]:
-    """Labeled share of the recommendations minus that of the profile.
-
-    Returns None when the profile is empty (the profile share is undefined).
-    An empty recommendation list contributes a recommendation share of 0.
-    """
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
-    profile = np.asarray(profile_items, dtype=np.int64)
-    if profile.size == 0:
-        return None
-    top = np.asarray(rec_items, dtype=np.int64)[:cutoff]
-    rec_share = float(np.count_nonzero(misinfo_mask[top])) / top.size if top.size else 0.0
-    prof_share = float(np.count_nonzero(misinfo_mask[profile])) / profile.size
-    return rec_share - prof_share
-
-
-def misinformation_gini(
-    lists: Iterable[np.ndarray], misinfo_mask: np.ndarray, cutoff: int
-) -> float:
-    """One minus the Gini index of recommendation mass over labeled items.
-
-    Mass is counted per labeled catalog item, with every unlabeled
-    recommendation pooled into one extra slot, so the vector has
-    (labeled catalog size + 1) entries. Raises when the catalog has no
-    labeled items or no recommendations were made at all.
-    """
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
-    mask = np.asarray(misinfo_mask, dtype=bool)
-    labeled = np.flatnonzero(mask)
-    if labeled.size == 0:
-        raise UndefinedMetricError("no labeled items in the catalog")
-    slot_of = np.full(mask.size, -1, dtype=np.int64)
-    slot_of[labeled] = np.arange(labeled.size)
-
-    counts = np.zeros(labeled.size + 1, dtype=np.float64)
-    for items in lists:
-        top = np.asarray(items, dtype=np.int64)[:cutoff]
-        if top.size == 0:
-            continue
-        hits = mask[top]
-        np.add.at(counts, slot_of[top[hits]], 1.0)
-        counts[-1] += float(np.count_nonzero(~hits))
-    total = counts.sum()
-    if total == 0:
-        raise UndefinedMetricError("no recommendations to measure concentration on")
-
-    p = np.sort(counts / total)
-    n = p.size  # labeled catalog + pooled slot, so always >= 2
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    gini = float(np.sum((2.0 * ranks - n - 1.0) * p) / (n - 1))
-    return 1.0 - gini
 
 
 @dataclass(frozen=True)
@@ -110,27 +42,57 @@ def aggregate_report(ds: Dataset, lists: Sequence[RecommendationList], cutoff: i
     Every list counts toward the count share; the ratio difference averages
     only users whose training profile is non-empty. Raises when `lists` is
     empty or when the concentration metric is undefined.
+
+    All lists are scored together: their top-`cutoff` items are concatenated
+    and counted per list and per catalog slot, and the profile shares come
+    from one pass over the interaction matrix.
     """
     if not lists:
         raise UndefinedMetricError("no recommendation lists to aggregate")
+    if cutoff < 1:
+        raise ValueError("cutoff must be at least 1")
+    n = len(lists)
     mask = ds.item_misinfo
-    mc_values = []
-    mrd_values = []
-    for lst in lists:
-        mc_values.append(misinformation_count(lst.items, mask, cutoff))
-        mrd = misinformation_ratio_difference(ds.profile(lst.user), lst.items, mask, cutoff)
-        if mrd is not None:
-            mrd_values.append(mrd)
-    if not mrd_values:
+    users = np.fromiter((lst.user for lst in lists), dtype=np.int64, count=n)
+    outside = (users < 0) | (users >= ds.n_users)
+    if outside.any():
+        raise ValueError(f"user index {users[outside.argmax()]} out of range")
+    tops = [np.asarray(lst.items, dtype=np.int64)[:cutoff] for lst in lists]
+    lengths = np.fromiter((top.size for top in tops), dtype=np.int64, count=n)
+    items = np.concatenate(tops)
+    hits = np.bincount(np.repeat(np.arange(n), lengths)[mask[items]], minlength=n)
+    per_mc = hits / cutoff  # the divisor stays N for short lists
+
+    indptr = ds.matrix.indptr
+    labeled_before = np.concatenate(([0], np.cumsum(mask[ds.matrix.indices])))
+    profile_sizes = np.diff(indptr)[users]
+    profile_labeled = np.diff(labeled_before[indptr])[users]
+    defined = profile_sizes > 0
+    if not defined.any():
         raise UndefinedMetricError("every evaluated user has an empty profile")
-    mg = misinformation_gini((lst.items for lst in lists), mask, cutoff)
-    per_mc = np.asarray(mc_values, dtype=np.float64)
-    per_mrd = np.asarray(mrd_values, dtype=np.float64)
+    rec_share = np.zeros(n)
+    np.divide(hits, lengths, out=rec_share, where=lengths > 0)  # an empty list has share 0
+    per_mrd = rec_share[defined] - profile_labeled[defined] / profile_sizes[defined]
+
+    labeled = np.flatnonzero(mask)
+    if labeled.size == 0:
+        raise UndefinedMetricError("no labeled items in the catalog")
+    slot_of = np.full(mask.size, labeled.size)  # unlabeled items share the last slot
+    slot_of[labeled] = np.arange(labeled.size)
+    counts = np.bincount(slot_of[items], minlength=labeled.size + 1).astype(np.float64)
+    total = counts.sum()
+    if total == 0:
+        raise UndefinedMetricError("no recommendations to measure concentration on")
+    p = np.sort(counts / total)
+    m = p.size  # labeled catalog + pooled slot, so always >= 2
+    ranks = np.arange(1, m + 1, dtype=np.float64)
+    gini = float(np.sum((2.0 * ranks - m - 1.0) * p) / (m - 1))
+
     return MetricReport(
         cutoff=cutoff,
         mc=float(per_mc.mean()),
         mrd=float(per_mrd.mean()),
-        mg=mg,
+        mg=1.0 - gini,
         per_user_mc=per_mc,
         per_user_mrd=per_mrd,
     )

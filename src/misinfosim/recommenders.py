@@ -10,7 +10,10 @@ score with ties broken by ascending item index, and return the top `cutoff`.
 - MF:  dot products of implicit-feedback ALS factors.
 
 Each family scores a block of users at once (`_score_block`); one ranking
-step (`Recommender._rank`) turns every block into lists. The neighborhood
+step (`Recommender._rank`) turns every block into lists. It selects each
+row's top `cutoff` exactly, without sorting the whole catalog: a partition
+finds the cutoff-th key, and one stable sort orders the keys that tie or
+beat it (`_top_order`). The neighborhood
 models drop candidates whose score is not positive (no positive-similarity
 neighbor reaches them); Rnd, Pop and MF rank every unseen item. Score
 accumulation always walks neighbors in ascending index order so results do
@@ -97,6 +100,26 @@ def _integer_power(data: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
+def _top_order(keys: np.ndarray, cutoff: int) -> np.ndarray:
+    """Each row's `cutoff` smallest keys as column indices, ties by ascending
+    column: exactly `np.argsort(keys, axis=1, kind="stable")[:, :cutoff]`.
+
+    A partition finds each row's cutoff-th smallest key; every key not above
+    it is a candidate, so ties at that key all stay in. One stable lexsort by
+    (row, key) orders the candidates, which `nonzero` lists by ascending
+    column within a row, and the first `cutoff` of each row are the result.
+    A cutoff past the row length keeps every key, as the argsort would.
+    """
+    n_rows, n = keys.shape
+    cutoff = min(cutoff, n)
+    kth = np.partition(keys, cutoff - 1, axis=1)[:, cutoff - 1 : cutoff]
+    rows, cols = np.nonzero(~(keys > kth))  # `~(>)`, not `<=`: a NaN kth keeps the whole row
+    ranked = np.lexsort((keys[rows, cols], rows))
+    starts = np.zeros(n_rows, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows)[:-1], out=starts[1:])
+    return cols[ranked[starts[:, np.newaxis] + np.arange(cutoff)]]
+
+
 def parse_params_label(label: str) -> dict[str, str]:
     """Invert params_label into a key/value dict ('-' gives an empty dict)."""
     out: dict[str, str] = {}
@@ -173,9 +196,9 @@ class Recommender:
         keys[np.repeat(np.arange(seen.shape[0]), np.diff(seen.indptr)), seen.indices] = np.inf
         if not self.rank_zeros:
             keys[scores <= 0] = np.inf
-        # a stable sort of -score keeps equal scores in ascending item order;
-        # the copy lets the lists' item views free the full argsort
-        order = np.argsort(keys, axis=1, kind="stable")[:, :cutoff].copy()
+        # the cutoff smallest keys of -score, equal keys in ascending item order,
+        # selected without sorting the whole row
+        order = _top_order(keys, cutoff)
         lengths = np.isfinite(np.take_along_axis(keys, order, axis=1)).sum(axis=1)
         lists = []
         for row, n in enumerate(lengths):

@@ -8,6 +8,7 @@ from misinfosim import (
     build_ratio_dataset,
     generate_synthetic,
 )
+from misinfosim.recommenders import RecommendationList
 
 # The large fixture mirrors the trend-test setting: strong popularity skew
 # plus heavily over-weighted labeled items, then profiles rebuilt so every
@@ -28,6 +29,21 @@ LARGE_SYNTH = SynthConfig(
 
 def make_dataset(profiles, misinfo=(), extra_items=()):
     return Dataset.from_profiles(profiles, misinfo_items=misinfo, extra_items=extra_items)
+
+
+def mask_dataset(mask, profiles) -> Dataset:
+    """Items i000.. labeled by `mask`; user n (u000..) has seen the item indices profiles[n]."""
+    items = [f"i{i:03d}" for i in range(len(mask))]
+    return make_dataset(
+        {f"u{u:03d}": [items[i] for i in profile] for u, profile in enumerate(profiles)},
+        misinfo=[item for item, labeled in zip(items, mask) if labeled],
+        extra_items=items,
+    )
+
+
+def rec_list(user, items, cutoff=10) -> RecommendationList:
+    items = np.asarray(items, dtype=np.int64)
+    return RecommendationList(user=user, items=items, scores=np.zeros(items.size), cutoff=cutoff)
 
 
 def random_dataset(rng: np.random.Generator, n_users=10, n_items=15, p=0.3) -> Dataset:

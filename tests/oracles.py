@@ -17,11 +17,13 @@ from misinfosim import (
     Dataset,
     MisinfoSimError,
     SimilarityKind,
+    UndefinedMetricError,
     aggregate_report,
     build_ratio_dataset,
     fit_recommender,
 )
 from misinfosim.experiment import ResultRow
+from misinfosim.metrics import MetricReport
 from misinfosim.profiles import resolve_profile_counts
 from misinfosim.seeds import substream
 
@@ -160,6 +162,72 @@ def naive_mg(lists, mask, cutoff):
     n = len(probs)
     gini = sum((2 * (j + 1) - n - 1) * p for j, p in enumerate(probs)) / (n - 1)
     return 1.0 - gini
+
+
+def misinformation_gini(lists, misinfo_mask, cutoff):
+    """One minus the Gini index of recommendation mass over labeled items.
+
+    Mass is counted per labeled catalog item, with every unlabeled
+    recommendation pooled into one extra slot, so the vector has
+    (labeled catalog size + 1) entries. Raises when the catalog has no
+    labeled items or no recommendations were made at all.
+    """
+    if cutoff < 1:
+        raise ValueError("cutoff must be at least 1")
+    mask = np.asarray(misinfo_mask, dtype=bool)
+    labeled = np.flatnonzero(mask)
+    if labeled.size == 0:
+        raise UndefinedMetricError("no labeled items in the catalog")
+    slot_of = np.full(mask.size, -1, dtype=np.int64)
+    slot_of[labeled] = np.arange(labeled.size)
+
+    counts = np.zeros(labeled.size + 1, dtype=np.float64)
+    for items in lists:
+        top = np.asarray(items, dtype=np.int64)[:cutoff]
+        if top.size == 0:
+            continue
+        hits = mask[top]
+        np.add.at(counts, slot_of[top[hits]], 1.0)
+        counts[-1] += float(np.count_nonzero(~hits))
+    total = counts.sum()
+    if total == 0:
+        raise UndefinedMetricError("no recommendations to measure concentration on")
+
+    p = np.sort(counts / total)
+    n = p.size  # labeled catalog + pooled slot, so always >= 2
+    ranks = np.arange(1, n + 1, dtype=np.float64)
+    gini = float(np.sum((2.0 * ranks - n - 1.0) * p) / (n - 1))
+    return 1.0 - gini
+
+
+def per_list_report(ds, lists, cutoff):
+    """Reference aggregate: each list scored on its own by naive_mc, naive_mrd
+    and misinformation_gini, raising in the package's order."""
+    if not lists:
+        raise UndefinedMetricError("no recommendation lists to aggregate")
+    if cutoff < 1:
+        raise ValueError("cutoff must be at least 1")
+    mask = ds.item_misinfo
+    mc_values = []
+    mrd_values = []
+    for lst in lists:
+        mc_values.append(naive_mc(lst.items, mask, cutoff))
+        mrd = naive_mrd(ds.profile(lst.user), lst.items, mask, cutoff)
+        if mrd is not None:
+            mrd_values.append(mrd)
+    if not mrd_values:
+        raise UndefinedMetricError("every evaluated user has an empty profile")
+    mg = misinformation_gini((lst.items for lst in lists), mask, cutoff)
+    per_mc = np.asarray(mc_values, dtype=np.float64)
+    per_mrd = np.asarray(mrd_values, dtype=np.float64)
+    return MetricReport(
+        cutoff=cutoff,
+        mc=float(per_mc.mean()),
+        mrd=float(per_mrd.mean()),
+        mg=mg,
+        per_user_mc=per_mc,
+        per_user_mrd=per_mrd,
+    )
 
 
 def dense_solve_row(fixed, row_items, cfg):

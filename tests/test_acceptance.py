@@ -20,6 +20,7 @@ from misinfosim import (
     SimConfig,
     SimilarityKind,
     SynthConfig,
+    UndefinedMetricError,
     aggregate_report,
     fit_recommender,
     generate_synthetic,
@@ -29,14 +30,9 @@ from misinfosim.als import fit_als, solve_row
 from misinfosim.cli import main
 from misinfosim.dataset import compute_stats, save_dataset, stats_csv
 from misinfosim.experiment import mf_grid, typical_grid
-from misinfosim.metrics import (
-    misinformation_count,
-    misinformation_gini,
-    misinformation_ratio_difference,
-)
 from misinfosim.profiles import resolve_profile_counts
 
-from conftest import block_dataset, random_dataset
+from conftest import block_dataset, mask_dataset, random_dataset, rec_list
 from oracles import (
     brute_item_based_all,
     brute_user_based_all,
@@ -169,7 +165,9 @@ def test_criterion_4_metrics_vs_naive(capsys):
     with criterion(capsys, 4, "exposure metrics vs naive recomputation") as c:
         mask_hand = np.array([True, True, False, False, False, False])
         lists_hand = [np.array([0, 1, 2]), np.array([0, 1, 3]), np.array([4]), np.array([5])]
-        assert misinformation_gini(lists_hand, mask_hand, 3) == 0.75
+        ds_hand = mask_dataset(mask_hand, [[5]] * len(lists_hand))
+        recs_hand = [rec_list(u, items) for u, items in enumerate(lists_hand)]
+        assert aggregate_report(ds_hand, recs_hand, 3).mg == 0.75
 
         rng = np.random.default_rng(44)
         checked = 0
@@ -187,19 +185,24 @@ def test_criterion_4_metrics_vs_naive(capsys):
                 lists[0] = np.array([0], dtype=np.int64)
             profile = np.flatnonzero(rng.random(n_items) < 0.3).astype(np.int64)
 
-            for items in lists:
-                assert misinformation_count(items, mask, cutoff) == pytest.approx(
-                    naive_mc(items, mask, cutoff), abs=1e-12
-                )
-                got = misinformation_ratio_difference(profile, items, mask, cutoff)
-                want = naive_mrd(profile, items, mask, cutoff)
-                if want is None:
-                    assert got is None
-                else:
-                    assert got == pytest.approx(want, abs=1e-12)
-            assert misinformation_gini(lists, mask, cutoff) == pytest.approx(
-                naive_mg(lists, mask, cutoff), abs=1e-12
+            ds = mask_dataset(mask, [profile] * len(lists))
+            recs = [rec_list(u, items) for u, items in enumerate(lists)]
+            if profile.size == 0:  # every user is excluded from the ratio difference
+                with pytest.raises(UndefinedMetricError, match="every evaluated user has an empty profile"):
+                    aggregate_report(ds, recs, cutoff)
+                # one more user, with profile [0] and an empty list, keeps the report defined
+                ds = mask_dataset(mask, [profile] * len(lists) + [[0]])
+                recs.append(rec_list(len(lists), []))
+            got = aggregate_report(ds, recs, cutoff)
+            for n, items in enumerate(lists):
+                assert got.per_user_mc[n] == pytest.approx(naive_mc(items, mask, cutoff), abs=1e-12)
+            mrd_want = (
+                [naive_mrd([0], [], mask, cutoff)]
+                if profile.size == 0
+                else [naive_mrd(profile, items, mask, cutoff) for items in lists]
             )
+            assert got.per_user_mrd.tolist() == pytest.approx(mrd_want, abs=1e-12)
+            assert got.mg == pytest.approx(naive_mg(lists, mask, cutoff), abs=1e-12)
             checked += 1
         c["detail"] = f"hand case exact; {checked} random cases match naive values to 1e-12"
 

@@ -3,8 +3,9 @@ import zlib
 import numpy as np
 import pytest
 
-from misinfosim import ALSConfig, ConfigError, RecommenderConfig, SimilarityKind, fit_recommender
+from misinfosim import ALSConfig, ConfigError, Dataset, RecommenderConfig, SimilarityKind, fit_recommender
 from misinfosim import recommenders
+from misinfosim.als import FactorModel
 from misinfosim.recommenders import build_recommender
 
 from conftest import make_dataset, random_dataset
@@ -96,31 +97,81 @@ def test_never_recommends_seen_items_and_prefixes_agree(cfg):
         assert pairs == sorted(pairs, key=lambda sv: (-sv[0], sv[1]))
 
 
+def circulant_dataset(n=20, width=3):
+    """User u has seen items u .. u+width-1 (mod n), so every item has the same count."""
+    rows = np.repeat(np.arange(n), width)
+    cols = (rows + np.tile(np.arange(width), n)) % n
+    ids = tuple(f"{i:03d}" for i in range(n))
+    return Dataset.from_indices(ids, ids, np.arange(n) % 4 == 0, rows, cols)
+
+
+MF_TINY = RecommenderConfig(kind="MF", als=ALSConfig(factors=3, iterations=2, seed=1))
+
+
 @pytest.mark.parametrize(
-    "cfg",
+    "cfg, ties",
     [
-        RecommenderConfig(kind="Rnd", seed=3),
-        RecommenderConfig(kind="Pop"),
-        knn_cfg("UB", k=4, sim=SimilarityKind.COSINE, q=2),
-        knn_cfg("IB", k=4, sim=SimilarityKind.PEARSON, q=2),
-        RecommenderConfig(kind="MF", als=ALSConfig(factors=3, iterations=2, seed=1)),
+        pytest.param(RecommenderConfig(kind="Rnd", seed=3), False, id="Rnd"),
+        pytest.param(RecommenderConfig(kind="Pop"), False, id="Pop"),
+        pytest.param(knn_cfg("UB", k=4, sim=SimilarityKind.COSINE, q=2), False, id="UB"),
+        pytest.param(knn_cfg("IB", k=4, sim=SimilarityKind.PEARSON, q=2), False, id="IB"),
+        pytest.param(MF_TINY, False, id="MF"),
+        # every score ties: equal popularity counts, and integer MF factors
+        pytest.param(RecommenderConfig(kind="Pop"), True, id="Pop-ties"),
+        pytest.param(MF_TINY, True, id="MF-ties"),
     ],
-    ids=lambda c: c.kind,
 )
-def test_recommend_all_independent_of_block_size(cfg, monkeypatch):
-    rng = np.random.default_rng(43)
-    ds = random_dataset(rng, n_users=13, n_items=20, p=0.3)
+def test_recommend_all_independent_of_block_size(cfg, ties, monkeypatch):
+    if ties:
+        ds = circulant_dataset()
+    else:
+        ds = random_dataset(np.random.default_rng(43), n_users=13, n_items=20, p=0.3)
     rec = fit_recommender(ds, cfg)
+    if ties and cfg.kind == "MF":  # scores in {0, 1, 2}
+        rng = np.random.default_rng(44)
+        rec.model = FactorModel(
+            rng.integers(0, 2, (ds.n_users, 2)).astype(float), rng.integers(0, 2, (ds.n_items, 2)).astype(float), []
+        )
     whole = rec.recommend_all(7)  # every user in one block
     monkeypatch.setattr(recommenders, "CELLS", 3 * ds.n_items)
     blocked = rec.recommend_all(7)  # blocks of 3 users, the last one short
     assert [lst.user for lst in blocked] == list(range(ds.n_users))
+    straddling = 0
     for a, b, u in zip(whole, blocked, range(ds.n_users)):
         one = rec.recommend(u, 7)
         assert a.items.tolist() == b.items.tolist() == one.items.tolist()
         np.testing.assert_allclose(a.scores, b.scores, rtol=1e-12, atol=0)
         np.testing.assert_allclose(a.scores, one.scores, rtol=1e-12, atol=0)
         assert a.cutoff == b.cutoff == 7
+        full = rec.recommend(u, ds.n_items)
+        assert full.items[:7].tolist() == a.items.tolist()
+        straddling += len(full) > 7 and full.scores[6] == full.scores[7]
+    if ties:
+        assert straddling >= ds.n_users // 2
+
+
+def test_top_order_is_the_stable_argsort_prefix():
+    """The selection equals a full stable argsort cut to the cutoff, ties and
+    non-finite keys included."""
+    rng = np.random.default_rng(zlib.crc32(b"top-order"))
+    straddling = short_rows = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 16))
+        keys = rng.integers(-3, 3, (int(rng.integers(1, 7)), n)).astype(np.float64)
+        keys[keys == 0] = rng.choice([0.0, -0.0], size=int((keys == 0).sum()))
+        keys[rng.random(keys.shape) < rng.random()] = np.inf
+        keys[0] = np.inf  # one row with no finite key
+        if rng.random() < 0.1:
+            keys[rng.random(keys.shape) < 0.2] = np.nan
+        for cutoff in {1, max(n - 1, 1), n, n + 1, int(rng.integers(1, n + 2))}:
+            want = np.argsort(keys, axis=1, kind="stable")[:, :cutoff]
+            got = recommenders._top_order(keys.copy(), cutoff)
+            assert got.tolist() == want.tolist(), (keys, cutoff)
+            if cutoff < n:
+                ranked = np.take_along_axis(keys, np.argsort(keys, axis=1, kind="stable"), axis=1)
+                straddling += int((np.isfinite(ranked[:, cutoff]) & (ranked[:, cutoff - 1] == ranked[:, cutoff])).sum())
+                short_rows += int((np.isfinite(keys).sum(axis=1) < cutoff).sum())
+    assert straddling > 100 and short_rows > 100
 
 
 def test_recommend_validates_arguments(toy_ds):
