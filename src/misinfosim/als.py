@@ -40,7 +40,7 @@ class ALSConfig:
     init_scale: float = 0.1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.factors <= 0:
             raise ConfigError(f"factors must be positive, got {self.factors}")
         if self.regularization < 0:
@@ -101,7 +101,6 @@ def solve_row(
     (its sparse binary vector). `fit_als` does not call this; it is the
     public one-row reference that the tests check against a dense solve.
     """
-    cfg.validate()
     fixed = np.asarray(fixed_factors, dtype=np.float64)
     idx = np.asarray(interactions_of_row, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= fixed.shape[0]):
@@ -152,7 +151,6 @@ def fit_als(ds: Dataset, cfg: ALSConfig) -> FactorModel:
     side first. The objective after each half-sweep is appended to the trace
     and must stay finite.
     """
-    cfg.validate()
     if ds.n_users == 0 or ds.n_items == 0 or ds.n_interactions == 0:
         raise EmptyDatasetError("cannot factorize an empty dataset")
 

@@ -48,7 +48,7 @@ def load_config(path: str) -> configparser.ConfigParser:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except (configparser.Error, OSError) as exc:
+    except (configparser.Error, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return parser
 
@@ -91,7 +91,7 @@ def synth_config(parser: configparser.ConfigParser) -> SynthConfig:
     if not parser.has_section("synth"):
         raise ConfigError("config has no [synth] section")
     sec = parser["synth"]
-    cfg = SynthConfig(
+    return SynthConfig(
         user_count=_get(sec, "users", int, 0),
         item_count=_get(sec, "items", int, 0),
         mean_profile_size=_get(sec, "mean_profile_size", float, 0.0),
@@ -100,8 +100,6 @@ def synth_config(parser: configparser.ConfigParser) -> SynthConfig:
         misinfo_popularity_boost=_get(sec, "misinfo_popularity_boost", float, 1.0),
         seed=_get(sec, "seed", int, 0),
     )
-    cfg.validate()
-    return cfg
 
 
 def resolve_dataset(parser: configparser.ConfigParser) -> Dataset:
@@ -134,10 +132,7 @@ def ratios_config(parser: configparser.ConfigParser) -> tuple[RatioSpec, ...]:
 
 def cutoffs_config(parser: configparser.ConfigParser) -> tuple[int, ...]:
     if parser.has_section("metrics") and "cutoffs" in parser["metrics"]:
-        cutoffs = tuple(_parse_list(parser["metrics"]["cutoffs"], int, "[metrics] cutoffs"))
-        if any(c < 1 for c in cutoffs):
-            raise ConfigError("[metrics] cutoffs must be positive")
-        return cutoffs
+        return tuple(_parse_list(parser["metrics"]["cutoffs"], int, "[metrics] cutoffs"))
     return DEFAULT_CUTOFFS
 
 
@@ -215,7 +210,7 @@ def sim_config(parser: configparser.ConfigParser, seed: int) -> SimConfig:
     probes: Optional[tuple[RecommenderConfig, ...]] = None
     if "probes" in sec:
         probes = _kind_schedule(_split(sec["probes"]), seed, "[sim] probes")
-    cfg = SimConfig(
+    return SimConfig(
         cycles=cycles,
         schedule=schedule,
         probes=probes,
@@ -223,5 +218,3 @@ def sim_config(parser: configparser.ConfigParser, seed: int) -> SimConfig:
         cutoffs=cutoffs_config(parser),
         master_seed=seed,
     )
-    cfg.validate()
-    return cfg

@@ -168,8 +168,11 @@ def _iter_lines(source, name: str) -> Iterator[tuple[int, str]]:
         except OSError as exc:
             raise DataError(f"cannot read {name} from {source}: {exc}") from exc
         with fh:
-            for n, line in enumerate(fh, start=1):
-                yield n, line.rstrip("\n").rstrip("\r")
+            try:
+                for n, line in enumerate(fh, start=1):
+                    yield n, line.rstrip("\n").rstrip("\r")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{name} file {source} is not valid UTF-8: {exc}") from exc
     else:
         for n, line in enumerate(source, start=1):
             yield n, line.rstrip("\n").rstrip("\r")

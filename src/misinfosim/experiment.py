@@ -45,15 +45,13 @@ class ExperimentConfig:
     cutoffs: tuple[int, ...] = DEFAULT_CUTOFFS
     master_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.ratios:
             raise ConfigError("no ratios configured")
         if not self.recommenders:
             raise ConfigError("no recommenders configured")
         if not self.cutoffs or any(c < 1 for c in self.cutoffs):
             raise ConfigError("cutoffs must be positive")
-        for rc in self.recommenders:
-            rc.validate()
 
 
 @dataclass(frozen=True)
@@ -109,11 +107,9 @@ def knn_grid(
     ]
 
 
-def typical_grid(seed: int = 0, alpha: float = 40.0, init_scale: float = 0.1) -> list[RecommenderConfig]:
+def typical_grid(seed: int = 0) -> list[RecommenderConfig]:
     """One representative configuration per recommender family."""
-    als = ALSConfig(
-        factors=50, regularization=0.1, iterations=20, alpha=alpha, init_scale=init_scale, seed=seed
-    )
+    als = ALSConfig(factors=50, regularization=0.1, iterations=20, seed=seed)
     return [
         RecommenderConfig(kind="MF", seed=seed, als=als),
         RecommenderConfig(kind="UB", neighbors=50, similarity=SimilarityKind.PEARSON, exponent=1, seed=seed),
@@ -176,7 +172,6 @@ def run_grid(ds: Dataset, cfg: ExperimentConfig, workers: int = 1) -> list[Resul
     `workers` > 1 fans tasks out to a process pool. The result is
     independent of worker count.
     """
-    cfg.validate()
     if workers < 1:
         raise ConfigError("workers must be at least 1")
 
@@ -200,7 +195,7 @@ def run_grid(ds: Dataset, cfg: ExperimentConfig, workers: int = 1) -> list[Resul
     if workers == 1 or len(cells) <= 1:
         produced = [_run_cell(args) for _, args in cells]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
             produced = list(pool.map(_run_cell, [args for _, args in cells], chunksize=1))
     for (ridx, _), rows in zip(cells, produced):
         indexed_rows.extend((ridx, row) for row in rows)
@@ -275,8 +270,8 @@ _MF_ITER_LEVELS = {"100": "High", "20": "Low"}
 _LEVEL_ORDER = {"High": 0, "Med": 1, "Low": 2, "q=1": 3, "q=2": 4, "q=3": 5}
 
 
-def aggregate_levels(rows: Sequence[ResultRow], dimension: str, cutoff: int = 10) -> list[AggregateRow]:
-    """Average the count-share metric into coarse model-capacity groups.
+def aggregate_levels(rows: Sequence[ResultRow], dimension: str) -> list[AggregateRow]:
+    """Average MC@10 into coarse model-capacity groups.
 
     dimension "size" groups MF by factor count and the neighborhood models
     by neighbor count into High/Med/Low; dimension "extra" groups MF by
@@ -289,7 +284,7 @@ def aggregate_levels(rows: Sequence[ResultRow], dimension: str, cutoff: int = 10
     groups: dict[tuple[str, str, str], list[float]] = {}
     ratio_order: dict[str, int] = {}
     for row in rows:
-        if row.error is not None or row.cutoff != cutoff or row.rec not in _SIZE_LEVELS:
+        if row.error is not None or row.cutoff != 10 or row.rec not in _SIZE_LEVELS:
             continue
         fields = parse_params_label(row.params)
         if dimension == "size":

@@ -86,6 +86,8 @@ def build_ratio_dataset(ds: Dataset, ratio: RatioSpec, seed: int) -> Dataset:
     a substream keyed by (seed, user index): misinformative items first, then
     neutral ones.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     if ratio.is_unconstrained:
         return ds
 

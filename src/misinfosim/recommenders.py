@@ -48,7 +48,7 @@ class RecommenderConfig:
     seed: int = 0
     als: Optional[ALSConfig] = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in RECOMMENDER_KINDS:
             raise ConfigError(
                 f"unknown recommender {self.kind!r}; expected one of: {', '.join(RECOMMENDER_KINDS)}"
@@ -60,10 +60,8 @@ class RecommenderConfig:
                 raise ConfigError("neighbors must be at least 1")
             if self.exponent < 1:
                 raise ConfigError("similarity exponent must be at least 1")
-        if self.kind == "MF":
-            if self.als is None:
-                raise ConfigError("MF configuration requires ALS settings")
-            self.als.validate()
+        if self.kind == "MF" and self.als is None:
+            raise ConfigError("MF configuration requires ALS settings")
 
     def params_label(self) -> str:
         """Stable human-readable parameter summary used in result rows."""
@@ -149,7 +147,6 @@ class Recommender:
     rank_zeros: bool = False  # whether unseen items scoring <= 0 are ranked
 
     def __init__(self, cfg: RecommenderConfig):
-        cfg.validate()
         if cfg.kind != self.kind:
             raise ConfigError(f"configuration kind {cfg.kind!r} does not match {self.kind!r}")
         self.cfg = cfg
@@ -329,7 +326,6 @@ def build_recommender(
     cfg: RecommenderConfig, shared: Optional[NeighborhoodPrefixes] = None
 ) -> Recommender:
     """An unfitted recommender; `shared` (UB and IB only) comes from `shared_neighborhoods`."""
-    cfg.validate()
     cls = _CLASSES[cfg.kind]
     return cls(cfg) if shared is None else cls(cfg, shared)
 

@@ -34,7 +34,7 @@ class SimConfig:
     cutoffs: tuple[int, ...] = (5, 10, 20)
     master_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.cycles < 1:
             raise ConfigError("cycles must be at least 1")
         if self.accept_count < 1:
@@ -47,10 +47,8 @@ class SimConfig:
             raise ConfigError("cutoffs must be positive")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
-        for cfg in self.schedule:
-            cfg.validate()
-        for cfg in self.resolved_probes():
-            cfg.validate()
+        if not self.resolved_probes():
+            raise ConfigError("no probe recommenders resolved")
 
     def resolved_probes(self) -> tuple[RecommenderConfig, ...]:
         """Probes default to the distinct scheduled recommenders, in order."""
@@ -115,10 +113,7 @@ def _measure(
 def run_simulation(ds: Dataset, cfg: SimConfig) -> list[CycleReport]:
     """Run the loop for cfg.cycles cycles; element c of the result is the
     state after c growth steps (element 0 is the baseline)."""
-    cfg.validate()
     probes = cfg.resolved_probes()
-    if not probes:
-        raise ConfigError("no probe recommenders resolved")
 
     reports = [
         CycleReport(

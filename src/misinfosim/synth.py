@@ -33,7 +33,7 @@ class SynthConfig:
     misinfo_popularity_boost: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.user_count <= 0:
             raise ConfigError(f"user_count must be positive, got {self.user_count}")
         if self.item_count <= 0:
@@ -62,7 +62,6 @@ def _identifiers(prefix: str, count: int) -> tuple[str, ...]:
 
 def generate_synthetic(cfg: SynthConfig) -> Dataset:
     """Generate a dataset fully determined by cfg.seed."""
-    cfg.validate()
     n_items = cfg.item_count
 
     label_rng = substream(cfg.seed, _LABEL_STREAM)

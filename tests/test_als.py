@@ -171,7 +171,7 @@ def test_fit_rejects_empty_dataset():
 
 def test_config_validation():
     good = dict(factors=2, regularization=0.1, iterations=1, alpha=1.0, init_scale=0.1, seed=0)
-    ALSConfig(**good).validate()
+    ALSConfig(**good)
     for bad in (
         dict(good, factors=0),
         dict(good, regularization=-0.1),
@@ -181,4 +181,4 @@ def test_config_validation():
         dict(good, seed=-1),
     ):
         with pytest.raises(ConfigError):
-            ALSConfig(**bad).validate()
+            ALSConfig(**bad)

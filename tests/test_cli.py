@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import misinfosim
 from misinfosim import (
     ConfigError,
     DataError,
@@ -230,8 +233,11 @@ def test_repeated_list_values_exit_one(synth_files, tmp_path, capsys, section):
 
 
 def _cli(*args):
+    # the child imports the package the tests import, installed or not
+    src = str(Path(misinfosim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-m", "misinfosim.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "misinfosim.cli", *args], capture_output=True, text=True, env=env
     )
 
 
@@ -256,6 +262,34 @@ def test_unwritable_outputs_exit_two(synth_files, tmp_path):
     assert "error: cannot write" in synth.stderr
 
 
+def test_undecodable_files_exit_cleanly(synth_files, tmp_path):
+    inter, labels = synth_files
+    bad_data = tmp_path / "bad.tsv"
+    bad_data.write_bytes(inter.read_bytes() + b"u\xff\ti0\n")
+    stats = _cli("stats", "--interactions", str(bad_data), "--labels", str(labels))
+    assert stats.returncode == 2
+    assert "Traceback" not in stats.stderr
+    assert f"error: interactions file {bad_data} is not valid UTF-8" in stats.stderr
+
+    bad_ini = tmp_path / "bad.ini"
+    bad_ini.write_bytes(f"[dataset]\ninteractions = {inter}\nlabels = {labels}\n# \xff\n".encode("latin-1"))
+    run = _cli("run", "--config", str(bad_ini), "--out", str(tmp_path / "r.csv"))
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert f"error: cannot parse config {bad_ini}" in run.stderr
+
+
+def test_ratio_build_negative_seed_exits_one(synth_files, tmp_path):
+    inter, labels = synth_files
+    out_i, out_l = tmp_path / "r_i.tsv", tmp_path / "r_l.tsv"
+    proc = _cli("ratio-build", "--interactions", str(inter), "--labels", str(labels), "--ratio", "1/2",
+                "--seed", "-1", "--out-interactions", str(out_i), "--out-labels", str(out_l))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "error: seed must be non-negative" in proc.stderr
+    assert not out_i.exists()
+
+
 def test_workers_below_one_exits_one(synth_files, tmp_path, capsys):
     inter, labels = synth_files
     cfg = tmp_path / "exp.ini"
@@ -272,9 +306,7 @@ def test_exit_code_attributes():
 
 
 def test_console_script_is_installed():
-    proc = subprocess.run(
-        [sys.executable, "-m", "misinfosim.cli", "--help"], capture_output=True, text=True
-    )
+    proc = _cli("--help")
     assert proc.returncode == 0
     assert "stats" in proc.stdout
 

@@ -66,8 +66,6 @@ def test_full_grid_composition():
     assert len(grid) == 68
     counts = Counter(cfg.kind for cfg in grid)
     assert counts == {"MF": 12, "UB": 27, "IB": 27, "Rnd": 1, "Pop": 1}
-    for cfg in grid:
-        cfg.validate()
     # MF axes: factors x lambda x iters
     mf_axes = {
         (c.als.factors, c.als.regularization, c.als.iterations)
@@ -173,6 +171,31 @@ def test_run_grid_validates_inputs(grid_ds):
         )
     with pytest.raises(ConfigError):
         run_grid(grid_ds, ExperimentConfig(ratios=(RatioSpec.parse("none"),), recommenders=(POP,)), workers=0)
+
+
+def test_run_grid_opens_no_more_workers_than_tasks(grid_ds, monkeypatch):
+    opened = []
+
+    class SerialPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    cfg = ExperimentConfig(ratios=(RatioSpec.parse("none"),), recommenders=(RND, POP), cutoffs=(2,))
+    rows = run_grid(grid_ds, cfg, workers=64)
+    assert opened == [2]  # one task per config, one ratio
+    assert rows == run_grid(grid_ds, cfg, workers=1)
 
 
 @pytest.fixture()

@@ -34,16 +34,16 @@ def toy_ds():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        RecommenderConfig(kind="SVD").validate()
+        RecommenderConfig(kind="SVD")
     with pytest.raises(ConfigError):
-        RecommenderConfig(kind="UB", neighbors=0).validate()
+        RecommenderConfig(kind="UB", neighbors=0)
     with pytest.raises(ConfigError):
-        RecommenderConfig(kind="IB", exponent=0).validate()
+        RecommenderConfig(kind="IB", exponent=0)
     with pytest.raises(ConfigError):
-        RecommenderConfig(kind="MF").validate()  # no ALS settings
+        RecommenderConfig(kind="MF")  # no ALS settings
     with pytest.raises(ConfigError):
-        RecommenderConfig(kind="Rnd", seed=-1).validate()
-    RecommenderConfig(kind="MF", als=ALSConfig(factors=2, iterations=1)).validate()
+        RecommenderConfig(kind="Rnd", seed=-1)
+    RecommenderConfig(kind="MF", als=ALSConfig(factors=2, iterations=1))
 
 
 def test_params_label_round_trips_through_config_from_row():

@@ -127,15 +127,17 @@ def test_resolved_probes_default_dedups_schedule():
 
 def test_sim_config_validation():
     with pytest.raises(ConfigError):
-        SimConfig(cycles=0, schedule=(POP,)).validate()
+        SimConfig(cycles=0, schedule=(POP,))
     with pytest.raises(ConfigError):
-        SimConfig(cycles=2, schedule=(POP,)).validate()
+        SimConfig(cycles=2, schedule=(POP,))
     with pytest.raises(ConfigError):
-        SimConfig(cycles=1, schedule=(POP,), accept_count=0).validate()
+        SimConfig(cycles=1, schedule=(POP,), accept_count=0)
     with pytest.raises(ConfigError):
-        SimConfig(cycles=1, schedule=(POP,), cutoffs=()).validate()
+        SimConfig(cycles=1, schedule=(POP,), cutoffs=())
     with pytest.raises(ConfigError):
-        SimConfig(cycles=1, schedule=(POP,), cutoffs=(0,)).validate()
+        SimConfig(cycles=1, schedule=(POP,), cutoffs=(0,))
     with pytest.raises(ConfigError):
-        SimConfig(cycles=1, schedule=(POP,), master_seed=-1).validate()
-    SimConfig(cycles=1, schedule=(POP,)).validate()
+        SimConfig(cycles=1, schedule=(POP,), master_seed=-1)
+    with pytest.raises(ConfigError, match="no probe recommenders"):
+        SimConfig(cycles=1, schedule=(POP,), probes=())
+    SimConfig(cycles=1, schedule=(POP,))

@@ -76,17 +76,17 @@ def test_boosted_share_matches_expected_mass():
 
 def test_validation_errors():
     with pytest.raises(ConfigError):
-        cfg(user_count=0).validate()
+        cfg(user_count=0)
     with pytest.raises(ConfigError):
-        cfg(item_count=0).validate()
+        cfg(item_count=0)
     with pytest.raises(ConfigError):
-        cfg(mean_profile_size=0.0).validate()
+        cfg(mean_profile_size=0.0)
     with pytest.raises(ConfigError):
-        cfg(misinfo_item_fraction=1.5).validate()
+        cfg(misinfo_item_fraction=1.5)
     with pytest.raises(ConfigError):
-        cfg(misinfo_popularity_boost=0.0).validate()
+        cfg(misinfo_popularity_boost=0.0)
     with pytest.raises(ConfigError):
-        cfg(seed=-1).validate()
+        cfg(seed=-1)
 
 
 def test_provenance_text_lists_every_field():
