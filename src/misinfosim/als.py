@@ -18,6 +18,7 @@ O((U+I)k^2 + nnz k) instead of O(U I k).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,14 +44,14 @@ class ALSConfig:
     def __post_init__(self) -> None:
         if self.factors <= 0:
             raise ConfigError(f"factors must be positive, got {self.factors}")
-        if self.regularization < 0:
-            raise ConfigError("regularization must be non-negative")
+        if not (math.isfinite(self.regularization) and self.regularization >= 0):
+            raise ConfigError("regularization must be finite and non-negative")
         if self.iterations < 1:
             raise ConfigError("iterations must be at least 1")
-        if self.alpha < 0:
-            raise ConfigError("alpha must be non-negative")
-        if self.init_scale <= 0:
-            raise ConfigError("init_scale must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigError("alpha must be finite and non-negative")
+        if not (math.isfinite(self.init_scale) and self.init_scale > 0):
+            raise ConfigError("init_scale must be finite and positive")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 

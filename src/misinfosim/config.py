@@ -24,14 +24,8 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 from .dataset import Dataset, load_dataset
 from .errors import ConfigError
-from .experiment import (
-    DEFAULT_CUTOFFS,
-    DEFAULT_RATIOS,
-    ExperimentConfig,
-    knn_grid,
-    mf_grid,
-    typical_grid,
-)
+from .experiment import DEFAULT_RATIOS, ExperimentConfig, knn_grid, mf_grid, typical_grid
+from .metrics import DEFAULT_CUTOFFS
 from .profiles import RatioSpec
 from .recommenders import RecommenderConfig
 from .similarity import SimilarityKind

@@ -2,11 +2,13 @@
 
 A grid run rebuilds the dataset at each requested misinformation ratio,
 fits every configured recommender on the rebuilt data, and reports the
-three exposure metrics at each cutoff. UB (or IB) configs of one similarity
-run as one task that builds their neighborhood once, at their largest k.
-Ratios that no user can satisfy produce an error row instead of aborting the
-run. Rows are emitted in a canonical order so equal inputs give
-byte-identical reports regardless of worker count.
+three exposure metrics at each cutoff. One function, `_run_cell`, takes a
+pool task from configs to report rows: UB (or IB) configs of one similarity
+form one task that builds their neighborhood once, at their largest k. A
+config that fails, and a ratio that no user can satisfy, each produce one
+error row instead of aborting the run. Rows are emitted in a canonical
+order so equal inputs give byte-identical reports regardless of worker
+count.
 """
 
 from __future__ import annotations
@@ -19,20 +21,19 @@ from typing import Optional, Sequence
 from .als import ALSConfig
 from .dataset import Dataset
 from .errors import ConfigError, DataError, MisinfoSimError
-from .metrics import aggregate_report
+from .metrics import DEFAULT_CUTOFFS, aggregate_report
 from .profiles import RatioSpec, build_ratio_dataset
 from .recommenders import (
     RecommenderConfig,
-    build_recommender,
+    fit_recommender,
     parse_params_label,
     shared_neighborhoods,
 )
-from .similarity import NeighborhoodPrefixes, SimilarityKind
+from .similarity import SimilarityKind
 
 REPORT_CSV_HEADER = "ratio,rec,params,cutoff,MC,MRD,MG"
 AGGREGATE_CSV_HEADER = "rec,level,ratio,MC@10"
 
-DEFAULT_CUTOFFS = (5, 10, 20)
 DEFAULT_RATIOS = ("none", "1/5", "1/2", "4/5")
 
 _KIND_ORDER = {"MF": 0, "UB": 1, "IB": 2, "Rnd": 3, "Pop": 4}
@@ -119,42 +120,27 @@ def typical_grid(seed: int = 0) -> list[RecommenderConfig]:
     ]
 
 
-def _config_rows(
-    ratio_label: str,
-    ds_r: Dataset,
-    rec_cfg: RecommenderConfig,
-    cutoffs: tuple[int, ...],
-    shared: Optional[NeighborhoodPrefixes],
-) -> list[ResultRow]:
-    label = rec_cfg.params_label()
-    try:
-        rec = build_recommender(rec_cfg, shared).fit(ds_r)
-        lists = rec.recommend_all(max(cutoffs))
-        rows = []
-        for cutoff in cutoffs:
-            rep = aggregate_report(ds_r, lists, cutoff)
-            rows.append(
-                ResultRow(
-                    ratio=ratio_label,
-                    rec=rec_cfg.kind,
-                    params=label,
-                    cutoff=cutoff,
-                    mc=rep.mc,
-                    mrd=rep.mrd,
-                    mg=rep.mg,
-                )
-            )
-        return rows
-    except MisinfoSimError as exc:
-        message = f"{rec_cfg.kind}[{label}]: {exc}"
-        return [ResultRow(ratio=ratio_label, rec="error", params=message, cutoff=None, error=message)]
+def _error_row(ratio: str, message: str) -> ResultRow:
+    return ResultRow(ratio=ratio, rec="error", params=message, cutoff=None, error=message)
 
 
 def _run_cell(args: tuple) -> list[ResultRow]:
-    """One pool task: a single config, or UB/IB configs that share one neighborhood build."""
+    """One pool task: a single config, or UB/IB configs that share one neighborhood build.
+
+    Each config gives one row per cutoff, or one error row if it fails."""
     ratio_label, ds_r, rec_cfgs, cutoffs = args
     shared = shared_neighborhoods(ds_r, rec_cfgs) if len(rec_cfgs) > 1 else None
-    return [row for rc in rec_cfgs for row in _config_rows(ratio_label, ds_r, rc, cutoffs, shared)]
+    rows: list[ResultRow] = []
+    for rc in rec_cfgs:
+        label = rc.params_label()
+        try:
+            lists = fit_recommender(ds_r, rc, shared).recommend_all(max(cutoffs))
+            reports = [aggregate_report(ds_r, lists, cutoff) for cutoff in cutoffs]
+        except MisinfoSimError as exc:
+            rows.append(_error_row(ratio_label, f"{rc.kind}[{label}]: {exc}"))
+            continue
+        rows += [ResultRow(ratio_label, rc.kind, label, r.cutoff, r.mc, r.mrd, r.mg) for r in reports]
+    return rows
 
 
 def _tasks(recommenders: Sequence[RecommenderConfig]) -> list[tuple[RecommenderConfig, ...]]:
@@ -183,10 +169,7 @@ def run_grid(ds: Dataset, cfg: ExperimentConfig, workers: int = 1) -> list[Resul
         try:
             ds_r = build_ratio_dataset(ds, ratio, cfg.master_seed)
         except DataError as exc:
-            message = f"ratio {label} unattainable: {exc}"
-            indexed_rows.append(
-                (ridx, ResultRow(ratio=label, rec="error", params=message, cutoff=None, error=message))
-            )
+            indexed_rows.append((ridx, _error_row(label, f"ratio {label} unattainable: {exc}")))
             continue
         for configs in tasks:
             cells.append((ridx, (label, ds_r, configs, cfg.cutoffs)))

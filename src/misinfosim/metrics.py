@@ -25,6 +25,8 @@ from .dataset import Dataset
 from .errors import UndefinedMetricError
 from .recommenders import RecommendationList
 
+DEFAULT_CUTOFFS = (5, 10, 20)
+
 
 @dataclass(frozen=True)
 class MetricReport:

@@ -9,11 +9,12 @@ score with ties broken by ascending item index, and return the top `cutoff`.
 - IB:  s(u,i) = sum over the k nearest items j of w(i,j)^q * R[u,j].
 - MF:  dot products of implicit-feedback ALS factors.
 
-Each family scores a block of users at once (`_score_block`); one ranking
-step (`Recommender._rank`) turns every block into lists. It selects each
-row's top `cutoff` exactly, without sorting the whole catalog: a partition
-finds the cutoff-th key, and one stable sort orders the keys that tie or
-beat it (`_top_order`). The neighborhood
+`fit_recommender` is the one constructor, and `recommend_all` the one way to
+get lists. Each family scores a block of users at once (`_score_block`); one
+ranking step (`Recommender._rank`) turns every block into lists. It selects
+each row's top `cutoff` exactly, without sorting the whole catalog: a
+partition finds the cutoff-th key, and one stable sort orders the keys that
+tie or beat it (`_top_order`). The neighborhood
 models drop candidates whose score is not positive (no positive-similarity
 neighbor reaches them); Rnd, Pop and MF rank every unseen item. Score
 accumulation always walks neighbors in ascending index order so results do
@@ -166,14 +167,6 @@ class Recommender:
         """Dense float64 scores, one row of n_items per user in the slice."""
         raise NotImplementedError
 
-    def recommend(self, user: int, cutoff: int) -> RecommendationList:
-        ds = self._fitted()
-        if not 0 <= user < ds.n_users:
-            raise ValueError(f"user index {user} out of range")
-        if cutoff < 1:
-            raise ValueError("cutoff must be at least 1")
-        return self._rank(slice(user, user + 1), cutoff)[0]
-
     def recommend_all(self, cutoff: int) -> list[RecommendationList]:
         ds = self._fitted()
         if cutoff < 1:
@@ -223,16 +216,15 @@ class RandomRecommender(Recommender):
         pass
 
     def _score_block(self, users: slice) -> np.ndarray:
-        ds = self._fitted()
-        scores = np.zeros((users.stop - users.start, ds.n_items))  # zeros are exactly the seen items
-        for row, user in enumerate(range(users.start, users.stop)):
-            unseen = np.ones(ds.n_items, dtype=bool)
-            unseen[ds.profile(user)] = False
-            cand = np.flatnonzero(unseen)
-            if cand.size:
-                rng = substream(self.cfg.seed, user)
-                shuffled = cand[rng.permutation(cand.size)]
-                scores[row, shuffled] = (cand.size - np.arange(cand.size)) / cand.size
+        seen = self._fitted().matrix[users]
+        unseen = np.ones(seen.shape, dtype=bool)
+        unseen[np.repeat(np.arange(seen.shape[0]), np.diff(seen.indptr)), seen.indices] = False
+        scores = np.zeros(seen.shape)  # zeros are exactly the seen items
+        ranks = np.arange(seen.shape[1])
+        for user, row_unseen, row_scores in zip(range(users.start, users.stop), unseen, scores):
+            cand = np.flatnonzero(row_unseen)
+            m = cand.size
+            row_scores[cand[substream(self.cfg.seed, user).permutation(m)]] = (m - ranks[:m]) / m
         return scores
 
 
@@ -322,23 +314,19 @@ _CLASSES = {
 }
 
 
-def build_recommender(
-    cfg: RecommenderConfig, shared: Optional[NeighborhoodPrefixes] = None
+def fit_recommender(
+    ds: Dataset, cfg: RecommenderConfig, shared: Optional[NeighborhoodPrefixes] = None
 ) -> Recommender:
-    """An unfitted recommender; `shared` (UB and IB only) comes from `shared_neighborhoods`."""
+    """`cfg` fitted on `ds`; `shared` (UB and IB only) comes from `shared_neighborhoods`."""
     cls = _CLASSES[cfg.kind]
-    return cls(cfg) if shared is None else cls(cfg, shared)
-
-
-def fit_recommender(ds: Dataset, cfg: RecommenderConfig) -> Recommender:
-    return build_recommender(cfg).fit(ds)
+    return (cls(cfg) if shared is None else cls(cfg, shared)).fit(ds)
 
 
 def shared_neighborhoods(ds: Dataset, cfgs: Sequence[RecommenderConfig]) -> NeighborhoodPrefixes:
     """One neighborhood build for UB or IB configs that differ only in k and q.
 
-    The build is at the largest k; `build_recommender(cfg, shared)` fits
-    each config from it on `ds` exactly as from a build at its own k.
+    The build is at the largest k; `fit_recommender(ds, cfg, shared)` fits
+    each config from it exactly as from a build at its own k.
     """
     if len({(cfg.kind, cfg.similarity) for cfg in cfgs}) != 1 or cfgs[0].kind not in ("UB", "IB"):
         raise ValueError("a shared neighborhood serves UB or IB configs of one kind and similarity")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import Dataset, DatasetStats, compute_stats
 from .errors import ConfigError
-from .metrics import MetricReport, aggregate_report
+from .metrics import DEFAULT_CUTOFFS, MetricReport, aggregate_report
 from .recommenders import RecommenderConfig, fit_recommender
 from .seeds import derive_seed
 
@@ -31,7 +31,7 @@ class SimConfig:
     schedule: tuple[RecommenderConfig, ...]
     probes: Optional[tuple[RecommenderConfig, ...]] = None
     accept_count: int = 3
-    cutoffs: tuple[int, ...] = (5, 10, 20)
+    cutoffs: tuple[int, ...] = DEFAULT_CUTOFFS
     master_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -114,22 +114,13 @@ def run_simulation(ds: Dataset, cfg: SimConfig) -> list[CycleReport]:
     """Run the loop for cfg.cycles cycles; element c of the result is the
     state after c growth steps (element 0 is the baseline)."""
     probes = cfg.resolved_probes()
-
-    reports = [
-        CycleReport(
-            cycle=0,
-            stats=compute_stats(ds),
-            new_interactions=0,
-            metrics=_measure(ds, probes, cfg.cutoffs, cfg.master_seed, 0),
-        )
-    ]
+    reports = []
     current = ds
-    for cycle in range(1, cfg.cycles + 1):
-        grow_cfg = cfg.schedule[cycle - 1]
+    for cycle in range(cfg.cycles + 1):
         before = current.n_interactions
-        current, _ = run_cycle(
-            current, grow_cfg, cfg.accept_count, derive_seed(cfg.master_seed, cycle, 0)
-        )
+        if cycle:
+            seed = derive_seed(cfg.master_seed, cycle, 0)
+            current, _ = run_cycle(current, cfg.schedule[cycle - 1], cfg.accept_count, seed)
         reports.append(
             CycleReport(
                 cycle=cycle,

@@ -10,6 +10,7 @@ order-independent and a fixed seed fully determines the output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -46,10 +47,10 @@ class SynthConfig:
             raise ConfigError(
                 f"misinfo_item_fraction must be in [0, 1], got {self.misinfo_item_fraction}"
             )
-        if self.popularity_exponent < 0:
-            raise ConfigError("popularity_exponent must be >= 0")
-        if self.misinfo_popularity_boost < 1:
-            raise ConfigError("misinfo_popularity_boost must be >= 1")
+        if not (math.isfinite(self.popularity_exponent) and self.popularity_exponent >= 0):
+            raise ConfigError("popularity_exponent must be finite and >= 0")
+        if not (math.isfinite(self.misinfo_popularity_boost) and self.misinfo_popularity_boost >= 1):
+            raise ConfigError("misinfo_popularity_boost must be finite and >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 

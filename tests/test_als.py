@@ -179,6 +179,8 @@ def test_config_validation():
         dict(good, alpha=-1.0),
         dict(good, init_scale=0.0),
         dict(good, seed=-1),
+        *(dict(good, **{field: value}) for field in ("regularization", "alpha", "init_scale")
+          for value in (float("nan"), float("inf"))),
     ):
         with pytest.raises(ConfigError):
             ALSConfig(**bad)

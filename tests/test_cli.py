@@ -290,6 +290,32 @@ def test_ratio_build_negative_seed_exits_one(synth_files, tmp_path):
     assert not out_i.exists()
 
 
+@pytest.mark.parametrize(
+    "command, section, message",
+    [
+        ("synth", "popularity_exponent = nan\n", "popularity_exponent must be finite"),
+        ("synth", "misinfo_popularity_boost = inf\n", "misinfo_popularity_boost must be finite"),
+        ("sweep", "[grid.mf]\nfactors = 4\nlambda = nan\niters = 2\n", "regularization must be finite"),
+        ("sweep", "[grid.mf]\nfactors = 4\nalpha = nan\n", "alpha must be finite"),
+        ("sweep", "[grid.mf]\nfactors = 4\ninit_scale = inf\n", "init_scale must be finite"),
+    ],
+    ids=["synth-exponent-nan", "synth-boost-inf", "mf-lambda-nan", "mf-alpha-nan", "mf-init-scale-inf"],
+)
+def test_non_finite_config_numbers_exit_one(synth_files, tmp_path, command, section, message):
+    inter, labels = synth_files
+    cfg, out_i, out = tmp_path / "bad.ini", tmp_path / "i.tsv", tmp_path / "s.csv"
+    if command == "synth":
+        cfg.write_text(SYNTH_INI.replace("misinfo_popularity_boost = 4\n", section))
+        proc = _cli("synth", "--config", str(cfg), "--interactions", str(out_i), "--labels", str(tmp_path / "l.tsv"))
+    else:
+        cfg.write_text(f"[dataset]\ninteractions = {inter}\nlabels = {labels}\n\n[ratios]\nratios = none\n\n{section}")
+        proc = _cli("sweep", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"error: {message}" in proc.stderr
+    assert not out_i.exists() and not out.exists()
+
+
 def test_workers_below_one_exits_one(synth_files, tmp_path, capsys):
     inter, labels = synth_files
     cfg = tmp_path / "exp.ini"

@@ -251,19 +251,19 @@ def test_run_grid_matches_one_fit_per_config(sweep_ds, knn_sweep_cfg):
 
 def test_failed_config_reports_alone_in_its_group(sweep_ds, knn_sweep_cfg, monkeypatch):
     failing = RecommenderConfig(kind="UB", neighbors=50, similarity=SimilarityKind.COSINE, exponent=2)
-    building = []
-    real_build, real_report = experiment.build_recommender, experiment.aggregate_report
+    fitting = []
+    real_fit, real_report = experiment.fit_recommender, experiment.aggregate_report
 
-    def build(cfg, shared=None):
-        building.append(cfg)
-        return real_build(cfg, shared)
+    def fit(ds, cfg, shared=None):
+        fitting.append(cfg)
+        return real_fit(ds, cfg, shared)
 
     def report(ds, lists, cutoff):
-        if building[-1] == failing:
+        if fitting[-1] == failing:
             raise UndefinedMetricError("forced failure")
         return real_report(ds, lists, cutoff)
 
-    monkeypatch.setattr(experiment, "build_recommender", build)
+    monkeypatch.setattr(experiment, "fit_recommender", fit)
     monkeypatch.setattr(experiment, "aggregate_report", report)
     rows = run_grid(sweep_ds, knn_sweep_cfg, workers=1)
     expected = per_config_grid_rows(sweep_ds, knn_sweep_cfg)

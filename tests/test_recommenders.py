@@ -6,7 +6,7 @@ import pytest
 from misinfosim import ALSConfig, ConfigError, Dataset, RecommenderConfig, SimilarityKind, fit_recommender
 from misinfosim import recommenders
 from misinfosim.als import FactorModel
-from misinfosim.recommenders import build_recommender
+from misinfosim.recommenders import UserBasedRecommender
 
 from conftest import make_dataset, random_dataset
 from oracles import brute_item_based, brute_user_based
@@ -87,8 +87,8 @@ def test_never_recommends_seen_items_and_prefixes_agree(cfg):
     rec = fit_recommender(ds, cfg)
     for u in range(ds.n_users):
         seen = set(ds.profile(u).tolist())
-        long = rec.recommend(u, 15)
-        short = rec.recommend(u, 4)
+        long = rec.recommend_all(15)[u]
+        short = rec.recommend_all(4)[u]
         assert not (set(long.items.tolist()) & seen)
         assert len(set(long.items.tolist())) == len(long)
         assert long.items[: len(short)].tolist() == short.items.tolist()
@@ -135,15 +135,15 @@ def test_recommend_all_independent_of_block_size(cfg, ties, monkeypatch):
     whole = rec.recommend_all(7)  # every user in one block
     monkeypatch.setattr(recommenders, "CELLS", 3 * ds.n_items)
     blocked = rec.recommend_all(7)  # blocks of 3 users, the last one short
-    assert [lst.user for lst in blocked] == list(range(ds.n_users))
+    monkeypatch.setattr(recommenders, "CELLS", ds.n_items)
+    single, uncut = rec.recommend_all(7), rec.recommend_all(ds.n_items)  # blocks of one user
+    assert [lst.user for lst in blocked] == [lst.user for lst in single] == list(range(ds.n_users))
     straddling = 0
-    for a, b, u in zip(whole, blocked, range(ds.n_users)):
-        one = rec.recommend(u, 7)
+    for a, b, one, full in zip(whole, blocked, single, uncut):
         assert a.items.tolist() == b.items.tolist() == one.items.tolist()
         np.testing.assert_allclose(a.scores, b.scores, rtol=1e-12, atol=0)
         np.testing.assert_allclose(a.scores, one.scores, rtol=1e-12, atol=0)
         assert a.cutoff == b.cutoff == 7
-        full = rec.recommend(u, ds.n_items)
         assert full.items[:7].tolist() == a.items.tolist()
         straddling += len(full) > 7 and full.scores[6] == full.scores[7]
     if ties:
@@ -177,11 +177,9 @@ def test_top_order_is_the_stable_argsort_prefix():
 def test_recommend_validates_arguments(toy_ds):
     rec = fit_recommender(toy_ds, knn_cfg("UB"))
     with pytest.raises(ValueError):
-        rec.recommend(99, 5)
+        rec.recommend_all(0)
     with pytest.raises(ValueError):
-        rec.recommend(0, 0)
-    with pytest.raises(ValueError):
-        build_recommender(knn_cfg("UB")).recommend(0, 5)
+        UserBasedRecommender(knn_cfg("UB")).recommend_all(5)
 
 
 # -- random baseline ------------------------------------------------------------
@@ -193,20 +191,20 @@ def test_random_is_seed_and_user_keyed():
     b = fit_recommender(ds, RecommenderConfig(kind="Rnd", seed=1))
     c = fit_recommender(ds, RecommenderConfig(kind="Rnd", seed=2))
     for u in range(ds.n_users):
-        assert a.recommend(u, 10).items.tolist() == b.recommend(u, 10).items.tolist()
+        assert a.recommend_all(10)[u].items.tolist() == b.recommend_all(10)[u].items.tolist()
     assert any(
-        a.recommend(u, 10).items.tolist() != c.recommend(u, 10).items.tolist()
+        a.recommend_all(10)[u].items.tolist() != c.recommend_all(10)[u].items.tolist()
         for u in range(ds.n_users)
     )
-    # order of calls does not matter: fresh instance, different query order
+    # a fresh instance repeats the lists
     d = fit_recommender(ds, RecommenderConfig(kind="Rnd", seed=1))
-    assert d.recommend(3, 10).items.tolist() == a.recommend(3, 10).items.tolist()
+    assert d.recommend_all(10)[3].items.tolist() == a.recommend_all(10)[3].items.tolist()
 
 
 def test_random_covers_whole_candidate_pool():
     ds = make_dataset({"u": ["a", "b"], "v": ["a"]}, misinfo=["a"])
     rec = fit_recommender(ds, RecommenderConfig(kind="Rnd", seed=0))
-    lst = rec.recommend(0, 50)
+    lst = rec.recommend_all(50)[0]
     assert set(lst.items.tolist()) == set(range(ds.n_items)) - set(ds.profile(0).tolist())
 
 
@@ -215,7 +213,7 @@ def test_random_covers_whole_candidate_pool():
 def test_popularity_orders_by_count_with_index_ties(toy_ds):
     rec = fit_recommender(toy_ds, RecommenderConfig(kind="Pop"))
     # u3 has seen x,y; remaining candidates: s(count 3), a,b,c (1 each)
-    lst = rec.recommend(toy_ds.user_index("u3"), 10)
+    lst = rec.recommend_all(10)[toy_ds.user_index("u3")]
     names = [toy_ds.item_ids[i] for i in lst.items]
     assert names == ["s", "a", "b", "c"]
     assert lst.scores.tolist() == [3.0, 1.0, 1.0, 1.0]
@@ -224,8 +222,8 @@ def test_popularity_orders_by_count_with_index_ties(toy_ds):
 def test_popularity_is_user_independent():
     ds = make_dataset({"u1": ["a"], "u2": ["a"], "u3": ["b", "c"]}, misinfo=["a"])
     rec = fit_recommender(ds, RecommenderConfig(kind="Pop"))
-    l1 = rec.recommend(0, 10)
-    l2 = rec.recommend(1, 10)
+    l1 = rec.recommend_all(10)[0]
+    l2 = rec.recommend_all(10)[1]
     assert l1.items.tolist() == l2.items.tolist()
     assert l1.scores.tolist() == l2.scores.tolist()
 
@@ -234,7 +232,7 @@ def test_popularity_is_user_independent():
 
 def test_user_based_toy_scores(toy_ds):
     rec = fit_recommender(toy_ds, knn_cfg("UB", k=2, sim=SimilarityKind.JACCARD, q=1))
-    lst = rec.recommend(0, 10)
+    lst = rec.recommend_all(10)[0]
     names = {toy_ds.item_ids[i]: s for i, s in zip(lst.items, lst.scores)}
     # neighbors of u0 are u1 and u2, each with jaccard 1/3
     assert names == {"b": pytest.approx(1 / 3), "c": pytest.approx(1 / 3)}
@@ -262,7 +260,7 @@ def test_user_based_accumulates_over_neighbors():
 def test_item_based_toy_scores(toy_ds):
     rec = fit_recommender(toy_ds, knn_cfg("IB", k=3, sim=SimilarityKind.COSINE, q=1))
     u0 = toy_ds.user_index("u0")
-    lst = rec.recommend(u0, 10)
+    lst = rec.recommend_all(10)[u0]
     # only neighbor of b (and of c) with positive similarity is s: cos 1/sqrt(3)
     got = {toy_ds.item_ids[i]: s for i, s in zip(lst.items, lst.scores)}
     assert set(got) == {"b", "c"}
@@ -274,7 +272,7 @@ def test_item_based_toy_scores(toy_ds):
 
 def test_knn_zero_score_users_get_empty_lists(toy_ds):
     rec = fit_recommender(toy_ds, knn_cfg("UB", k=3, sim=SimilarityKind.JACCARD))
-    lst = rec.recommend(toy_ds.user_index("u3"), 5)  # disjoint from everyone
+    lst = rec.recommend_all(5)[toy_ds.user_index("u3")]  # disjoint from everyone
     assert len(lst) == 0
     assert lst.items.size == 0 and lst.scores.size == 0
 
@@ -299,7 +297,7 @@ def test_user_based_matches_brute_force(kind, q):
         ds = random_dataset(rng, n_users=10, n_items=15, p=0.3)
         rec = fit_recommender(ds, knn_cfg("UB", k=3, sim=kind, q=q))
         for u in range(ds.n_users):
-            lst = rec.recommend(u, 6)
+            lst = rec.recommend_all(6)[u]
             want_items, want_scores = brute_user_based(ds, u, 3, kind, q, 6)
             assert lst.items.tolist() == want_items
             np.testing.assert_allclose(lst.scores, want_scores, rtol=0, atol=1e-10)
@@ -313,7 +311,7 @@ def test_item_based_matches_brute_force(kind, q):
         ds = random_dataset(rng, n_users=10, n_items=15, p=0.3)
         rec = fit_recommender(ds, knn_cfg("IB", k=3, sim=kind, q=q))
         for u in range(ds.n_users):
-            lst = rec.recommend(u, 6)
+            lst = rec.recommend_all(6)[u]
             want_items, want_scores = brute_item_based(ds, u, 3, kind, q, 6)
             assert lst.items.tolist() == want_items
             np.testing.assert_allclose(lst.scores, want_scores, rtol=0, atol=1e-10)
@@ -341,4 +339,4 @@ def test_mf_deterministic(toy_ds):
     a = fit_recommender(toy_ds, cfg)
     b = fit_recommender(toy_ds, cfg)
     for u in range(toy_ds.n_users):
-        assert a.recommend(u, 5).items.tolist() == b.recommend(u, 5).items.tolist()
+        assert a.recommend_all(5)[u].items.tolist() == b.recommend_all(5)[u].items.tolist()

@@ -87,6 +87,10 @@ def test_validation_errors():
         cfg(misinfo_popularity_boost=0.0)
     with pytest.raises(ConfigError):
         cfg(seed=-1)
+    for field in ("popularity_exponent", "misinfo_popularity_boost"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=f"{field} must be finite"):
+                cfg(**{field: value})
 
 
 def test_provenance_text_lists_every_field():
